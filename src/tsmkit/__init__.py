@@ -40,7 +40,6 @@ from .ops import ConvSpec, LinearSpec, count_macs, macs_of, params_of
 from .shift import (
     ShiftSpec,
     bytes_moved,
-    channel_partition,
     fraction_to_count,
     shift_adjoint,
     shift_inplace,
@@ -72,7 +71,6 @@ from .tensor import (
     max_abs_diff,
     reverse_time,
     save_tensor,
-    slice_frame,
     stack_frames,
     zeros,
 )

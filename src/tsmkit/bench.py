@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidSpec
-from .net import NetworkSpec, count_network, forward_offline_array, init_weights, with_placements_none
+from .net import NetworkSpec, forward_offline_array, init_weights, with_placements_none
 from .shift import ShiftSpec, bytes_moved, shift_inplace, spec_from_total_fraction
 from .tensor import Tensor, ACTIVATION_AXES
 
@@ -47,7 +47,6 @@ class BenchRow:
     reps: int
     baseline_ns: int
     overhead_pct: float
-    macs: int = 0  # informational; not a CSV column
 
 
 @dataclass
@@ -133,7 +132,6 @@ def bench_shift(shape, fractions, reps: int = 50, warmup: int = 3,
             median_ns=med, p10_ns=p10, p90_ns=p90, reps=reps,
             baseline_ns=base_med,
             overhead_pct=100.0 * (med - base_med) / baseline,
-            macs=0,
         ))
     return CostReport(rows=rows)
 
@@ -142,9 +140,11 @@ def bench_network(spec: NetworkSpec, reps: int = MIN_REPS, warmup: int = 3,
                   seed: int = 0) -> CostReport:
     """Forward passes with shifts enabled vs all placements disabled.
 
-    Same weights both ways; the disabled pass is the baseline. Each row
-    carries the structural per-frame MAC count, which placement toggling
-    cannot change.
+    Same weights both ways; the disabled pass (net.with_placements_none,
+    the TSN control) is the baseline. That control drops the skip path and
+    its 1x1 downsample along with the shift, so on residual networks the
+    measured overhead includes the residual adds and the downsample convs,
+    not the shift alone.
     """
     _check_reps(reps)
     store = init_weights(spec, seed=seed)
@@ -153,8 +153,6 @@ def bench_network(spec: NetworkSpec, reps: int = MIN_REPS, warmup: int = 3,
     clip = rng.standard_normal(
         (1, spec.frames, spec.in_channels, spec.height, spec.width)
     ).astype(np.float32)
-    shape = (1, spec.in_channels, spec.frames, spec.height, spec.width)
-    macs = count_network(spec).macs_per_frame
 
     def runner(net: NetworkSpec):
         def run() -> float:
@@ -178,7 +176,7 @@ def bench_network(spec: NetworkSpec, reps: int = MIN_REPS, warmup: int = 3,
 
     common = dict(n=1, c=spec.in_channels, t=spec.frames,
                   h=spec.height, w=spec.width, reps=reps,
-                  baseline_ns=base_med, macs=macs)
+                  baseline_ns=base_med)
     return CostReport(rows=[
         BenchRow(label="plain", n_fwd=0, n_bwd=0, bytes_moved=0,
                  median_ns=base_med, p10_ns=base_p10, p90_ns=base_p90,

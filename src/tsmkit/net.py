@@ -23,7 +23,6 @@ from .ops import (
     LinearParams,
     LinearSpec,
     _conv_forward_cols,
-    conv2d_forward,
     global_avg_pool_forward,
     linear_forward,
     macs_of,
@@ -154,7 +153,12 @@ def with_zero_shifts(spec: NetworkSpec) -> NetworkSpec:
 
 
 def with_placements_none(spec: NetworkSpec) -> NetworkSpec:
-    """Same convolution structure with every block demoted to plain 2D."""
+    """The TSN control: every block demoted to plain 2D, y = F(x).
+
+    This drops the shift and also the skip path: a residual block loses its
+    identity add or its 1x1 downsample conv, so the control runs fewer MACs
+    than the TSM network whenever a block declares a downsample.
+    """
     blocks = tuple(
         dataclasses.replace(b, placement=PLACEMENT_NONE, shift=None)
         for b in spec.blocks
@@ -233,10 +237,12 @@ def _unfold(a: np.ndarray, n: int, t: int) -> np.ndarray:
 
 
 def block_forward_array(
-    a: np.ndarray, b: BlockSpec, store: dict, name: str, cache: list | None = None
+    a: np.ndarray, b: BlockSpec, store: dict, name: str, cache: list | None = None,
+    shift=_shift_array,
 ) -> np.ndarray:
+    """One block on an (N, T, C, H, W) array; shift(a, b.shift) moves the branch input."""
     n, t = a.shape[:2]
-    shifted = a if b.placement == PLACEMENT_NONE else _shift_array(a, b.shift)
+    shifted = a if b.placement == PLACEMENT_NONE else shift(a, b.shift)
     xs = _frames(shifted)
     z1, cols1 = _conv_forward_cols(xs, _conv_params(b.conv1, store, name + ".conv1"))
     r1 = relu_forward(z1)
@@ -260,6 +266,33 @@ def block_forward_array(
     return _unfold(y, n, t)
 
 
+def forward_walk(a: np.ndarray, spec: NetworkSpec, store: dict, shift,
+                 cache: list | None = None) -> np.ndarray:
+    """(N, T, C, H, W) -> (N, T, num_classes): stem, blocks, pool, head.
+
+    The one forward pass of the network. Offline clips and live streams
+    differ only in ``shift(activation, shift_spec)``: the whole-clip
+    _shift_array, or (T = 1) a swap against each block's one-frame cache.
+    With ``cache`` given, every layer's inputs are recorded for
+    network_backward.
+    """
+    n, t = a.shape[:2]
+    xf = _frames(a)
+    zs, cols_s = _conv_forward_cols(xf, _conv_params(spec.stem, store, "stem"))
+    cur = _unfold(relu_forward(zs), n, t)
+    if cache is not None:
+        cache.append({"kind": "stem", "x": xf, "z": zs, "cols": cols_s})
+    for i, b in enumerate(spec.blocks):
+        cur = block_forward_array(cur, b, store, f"block{i}", cache, shift)
+    feat = _frames(cur)
+    pooled = global_avg_pool_forward(feat)
+    head = LinearParams(store["head.w"], store["head.b"])
+    logits = linear_forward(pooled, head)
+    if cache is not None:
+        cache.append({"kind": "head", "pool_in": feat.shape, "pooled": pooled})
+    return _unfold(logits, n, t)
+
+
 def forward_offline_array(
     a: np.ndarray, spec: NetworkSpec, store: dict, cache: list | None = None
 ) -> np.ndarray:
@@ -273,20 +306,7 @@ def forward_offline_array(
             f"(T={spec.frames}, C={spec.in_channels}, "
             f"H={spec.height}, W={spec.width})"
         )
-    xf = _frames(a)
-    zs, cols_s = _conv_forward_cols(xf, _conv_params(spec.stem, store, "stem"))
-    cur = _unfold(relu_forward(zs), n, t)
-    if cache is not None:
-        cache.append({"kind": "stem", "x": xf, "z": zs, "cols": cols_s})
-    for i, b in enumerate(spec.blocks):
-        cur = block_forward_array(cur, b, store, f"block{i}", cache)
-    feat = _frames(cur)
-    pooled = global_avg_pool_forward(feat)
-    head = LinearParams(store["head.w"], store["head.b"])
-    logits = linear_forward(pooled, head)
-    if cache is not None:
-        cache.append({"kind": "head", "pool_in": feat.shape, "pooled": pooled})
-    return _unfold(logits, n, t)
+    return forward_walk(a, spec, store, _shift_array, cache)
 
 
 def block_forward(x: Tensor, b: BlockSpec, store: dict, name: str = "block0") -> Tensor:

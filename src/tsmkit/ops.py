@@ -239,7 +239,9 @@ def linear_backward(x: np.ndarray, p: LinearParams, grad_out: np.ndarray):
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """Mean cross-entropy over the batch and its gradient w.r.t. logits.
 
-    Softmax uses max-subtraction for stability; labels are class indices.
+    Softmax uses max-subtraction for stability and the loss is taken as
+    log-sum-exp minus the label's logit, so a confidently wrong row gives a
+    large finite loss instead of -log(0); labels are class indices.
     """
     if logits.ndim != 2:
         raise InvalidShape(f"logits must be (N, K), got {logits.shape}")
@@ -251,8 +253,9 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
         raise IndexError(f"label out of range [0, {k})")
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    loss = float(-np.log(probs[np.arange(n), labels]).mean())
+    total = exp.sum(axis=1, keepdims=True)
+    probs = exp / total
+    loss = float((np.log(total[:, 0]) - shifted[np.arange(n), labels]).mean())
     grad = probs.copy()
     grad[np.arange(n), labels] -= 1
     grad /= n

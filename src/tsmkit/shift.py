@@ -12,7 +12,7 @@ All variants move data and perform no arithmetic on the values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -24,10 +24,6 @@ PAD_ZERO = "zero"
 PAD_CIRCULAR = "circular"
 MODE_BI = "bi"
 MODE_UNI = "uni"
-
-#: Default shifted proportion per direction: floor(C/8) channels each way.
-DEFAULT_SHIFT_DIV = 8
-
 
 @dataclass(frozen=True)
 class ShiftSpec:
@@ -62,32 +58,9 @@ class ShiftSpec:
             )
 
 
-@dataclass(frozen=True)
-class ChannelPartition:
-    """The three disjoint channel groups a spec induces on C channels."""
-
-    fwd: range
-    bwd: range
-    untouched: range
-
-
-def channel_partition(spec: ShiftSpec, c: int) -> ChannelPartition:
-    spec.check_channels(c)
-    nf, nb = spec.n_fwd, spec.n_bwd
-    return ChannelPartition(range(0, nf), range(nf, nf + nb), range(nf + nb, c))
-
-
 def fraction_to_count(c: int, fraction) -> int:
     """floor(C * fraction), exact for Fraction inputs; remainders stay untouched."""
     return math.floor(c * Fraction(fraction))
-
-
-def partial_shift_spec(c, fraction=Fraction(1, DEFAULT_SHIFT_DIV),
-                       padding=PAD_ZERO, mode=MODE_BI) -> ShiftSpec:
-    """Spec shifting ``fraction`` of C per direction (default 1/8 each way)."""
-    n = fraction_to_count(c, fraction)
-    return ShiftSpec(n_fwd=n, n_bwd=0 if mode == MODE_UNI else n,
-                     padding=padding, mode=mode)
 
 
 def spec_from_total_fraction(c, fraction) -> ShiftSpec:
@@ -105,35 +78,52 @@ def _check_activation(x: Tensor, spec: ShiftSpec) -> None:
     spec.check_channels(x.extents[2])
 
 
-def _shift_array(a: np.ndarray, spec: ShiftSpec) -> np.ndarray:
-    """Shift an (N, T, C, H, W) array out-of-place; dtype preserved."""
+def _move_group(buf: np.ndarray, ch: slice, step: int, circular: bool) -> None:
+    """Move channels ``ch`` of an (N, T, C, H, W) buffer one frame, in place.
+
+    step=1: frame t takes frame t-1's values; step=-1: frame t takes t+1's.
+    Frames are copied in the order that reads each before it is overwritten;
+    the slot left empty takes the wrapped-around frame or zeros.
+    """
+    t = buf.shape[1]
+    empty, wrap = (0, t - 1) if step > 0 else (t - 1, 0)
+    edge = buf[:, wrap, ch].copy() if circular else 0
+    for dst in (range(t - 1, 0, -1) if step > 0 else range(t - 1)):
+        buf[:, dst, ch] = buf[:, dst - step, ch]
+    buf[:, empty, ch] = edge
+
+
+def _shift_groups(buf: np.ndarray, spec: ShiftSpec, direction: int) -> None:
+    """The one shift move: n_fwd group by +direction, n_bwd group by -direction.
+
+    direction=1 is the shift, direction=-1 its adjoint (the backward pass).
+    Untouched channels are never read or written.
+    """
     nf, nb = spec.n_fwd, spec.n_bwd
-    out = a.copy()
-    t = a.shape[1]
+    circular = spec.padding == PAD_CIRCULAR
     if nf:
-        out[:, 1:, :nf] = a[:, :-1, :nf]
-        out[:, 0, :nf] = a[:, t - 1, :nf] if spec.padding == PAD_CIRCULAR else 0
+        _move_group(buf, slice(0, nf), direction, circular)
     if nb:
-        out[:, :-1, nf : nf + nb] = a[:, 1:, nf : nf + nb]
-        out[:, t - 1, nf : nf + nb] = (
-            a[:, 0, nf : nf + nb] if spec.padding == PAD_CIRCULAR else 0
-        )
+        _move_group(buf, slice(nf, nf + nb), -direction, circular)
+
+
+def _shift_array(a: np.ndarray, spec: ShiftSpec, direction: int = 1) -> np.ndarray:
+    """Shift an (N, T, C, H, W) array out-of-place; dtype preserved."""
+    out = a.copy()
+    _shift_groups(out, spec, direction)
     return out
 
 
 def _shift_array_adjoint(g: np.ndarray, spec: ShiftSpec) -> np.ndarray:
-    """Adjoint shift on an (N, T, C, H, W) array: group directions reversed."""
-    nf, nb = spec.n_fwd, spec.n_bwd
-    out = g.copy()
-    t = g.shape[1]
-    circ = spec.padding == PAD_CIRCULAR
-    if nf:
-        out[:, :-1, :nf] = g[:, 1:, :nf]
-        out[:, t - 1, :nf] = g[:, 0, :nf] if circ else 0
-    if nb:
-        out[:, 1:, nf : nf + nb] = g[:, :-1, nf : nf + nb]
-        out[:, 0, nf : nf + nb] = g[:, t - 1, nf : nf + nb] if circ else 0
-    return out
+    """Adjoint shift on an (N, T, C, H, W) array: _shift_array with direction -1."""
+    return _shift_array(g, spec, -1)
+
+
+def _shift_tensor(x: Tensor, spec: ShiftSpec, direction: int) -> Tensor:
+    _check_activation(x, spec)
+    if spec.n_fwd == 0 and spec.n_bwd == 0:
+        return x
+    return Tensor(_shift_array(x.data, spec, direction), ACTIVATION_AXES)
 
 
 def shift_offline(x: Tensor, spec: ShiftSpec) -> Tensor:
@@ -143,10 +133,7 @@ def shift_offline(x: Tensor, spec: ShiftSpec) -> Tensor:
     The input is never modified; the identity spec (no moved channels)
     returns the input tensor itself, copy-free.
     """
-    _check_activation(x, spec)
-    if spec.n_fwd == 0 and spec.n_bwd == 0:
-        return x
-    return Tensor(_shift_array(x.data, spec), ACTIVATION_AXES)
+    return _shift_tensor(x, spec, 1)
 
 
 def shift_offline_naive(x: Tensor, spec: ShiftSpec) -> Tensor:
@@ -185,10 +172,7 @@ def shift_adjoint(g: Tensor, spec: ShiftSpec) -> Tensor:
     under zero padding, boundary gradients fall off the clip and are dropped).
     Equivalently: the direction-swapped shift on the same channel groups.
     """
-    _check_activation(g, spec)
-    if spec.n_fwd == 0 and spec.n_bwd == 0:
-        return g
-    return Tensor(_shift_array_adjoint(g.data, spec), ACTIVATION_AXES)
+    return _shift_tensor(g, spec, -1)
 
 
 def shift_inplace(x: Tensor, spec: ShiftSpec) -> None:
@@ -199,21 +183,7 @@ def shift_inplace(x: Tensor, spec: ShiftSpec) -> None:
     per direction before overwriting it.
     """
     _check_activation(x, spec)
-    nf, nb = spec.n_fwd, spec.n_bwd
-    buf = x.data
-    t_total = buf.shape[1]
-    circ = spec.padding == PAD_CIRCULAR
-    if nf:
-        edge = buf[:, t_total - 1, :nf].copy() if circ else None
-        for t in range(t_total - 1, 0, -1):
-            buf[:, t, :nf] = buf[:, t - 1, :nf]
-        buf[:, 0, :nf] = edge if circ else 0
-    if nb:
-        sl = slice(nf, nf + nb)
-        edge = buf[:, 0, sl].copy() if circ else None
-        for t in range(t_total - 1):
-            buf[:, t, sl] = buf[:, t + 1, sl]
-        buf[:, t_total - 1, sl] = edge if circ else 0
+    _shift_groups(x.data, spec, 1)
 
 
 def bytes_moved(spec: ShiftSpec, shape) -> int:
@@ -236,7 +206,6 @@ class ShiftCache:
     """One stream's per-layer state: the previous frame's forward-group slab."""
 
     slab: np.ndarray
-    frame_counter: int = 0
 
     @classmethod
     def for_stream(cls, n: int, n_fwd: int, h: int, w: int) -> "ShiftCache":
@@ -244,7 +213,6 @@ class ShiftCache:
 
     def reset(self) -> None:
         self.slab[:] = 0
-        self.frame_counter = 0
 
 
 def shift_online_step(frame: Tensor, spec: ShiftSpec, state: ShiftCache):
@@ -270,5 +238,4 @@ def shift_online_step(frame: Tensor, spec: ShiftSpec, state: ShiftCache):
     incoming = frame.data[:, :nf].copy()
     out[:, :nf] = state.slab
     state.slab = incoming
-    state.frame_counter += 1
     return Tensor(out, FRAME_AXES), state

@@ -2,8 +2,10 @@
 
 Offline inference sees a whole clip; here frames arrive one at a time and
 each shift-bearing block keeps a small cache holding the forward-shift
-channels of the previous frame. Stepping a frame costs exactly the MACs of
-the shift-free 2D network; temporal modeling adds only the cache copies.
+channels of the previous frame. Both run the same forward walk
+(net.forward_walk) and differ only in the shift. Stepping a frame costs
+exactly the MACs of the shift-free 2D network; temporal modeling adds only
+the cache copies.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CacheMismatch, InvalidShape, InvalidSpec
-from .net import NetworkSpec, PLACEMENT_NONE, PLACEMENT_RESIDUAL, _conv_params
-from .ops import LinearParams, conv2d_forward, global_avg_pool_forward, linear_forward, relu_forward
+from .net import NetworkSpec, PLACEMENT_NONE, forward_walk
 from .shift import MODE_UNI, PAD_ZERO, ShiftCache, ShiftSpec, shift_online_step
 from .tensor import FRAME_AXES, Tensor, _require_axes
 
@@ -118,9 +119,10 @@ def stream_step(frame: Tensor, spec: NetworkSpec, store: dict,
                 state: StreamState):
     """Advance one frame; returns (logits, running consensus, state).
 
-    Each shift-bearing block runs its shift in streaming form (forward
-    group from the cache, cache updated from this frame); stream_init is
-    the gate that decides whether a bi-directional spec may get here.
+    The frame runs through net.forward_walk as a one-frame clip. Each
+    shift-bearing block shifts in streaming form (forward group from its
+    cache, cache updated from this frame); stream_init is the gate that
+    decides whether a bi-directional spec may get here.
     """
     _require_axes(frame, FRAME_AXES, "frame")
     n, c, h, w = frame.extents
@@ -139,42 +141,28 @@ def stream_step(frame: Tensor, spec: NetworkSpec, store: dict,
             f"state has {len(state.caches)} caches, spec needs {expected}"
         )
 
-    cur = relu_forward(conv2d_forward(frame.data, _conv_params(spec.stem, store, "stem")))
-    cache_idx = 0
-    for i, b in enumerate(spec.blocks):
-        name = f"block{i}"
-        if b.placement == PLACEMENT_NONE:
-            branch_in = cur
-        else:
-            eff = ShiftSpec(b.shift.n_fwd, 0, padding=PAD_ZERO, mode=MODE_UNI)
-            shifted, _ = shift_online_step(
-                Tensor(cur, FRAME_AXES), eff, state.caches[cache_idx])
-            cache_idx += 1
-            branch_in = shifted.data
-        y = relu_forward(conv2d_forward(
-            branch_in, _conv_params(b.conv1, store, name + ".conv1")))
-        y = relu_forward(conv2d_forward(
-            y, _conv_params(b.conv2, store, name + ".conv2")))
-        if b.placement == PLACEMENT_RESIDUAL:
-            if b.downsample is not None:
-                skip = conv2d_forward(cur, _conv_params(b.downsample, store, name + ".down"))
-            else:
-                skip = cur
-            y = skip + y
-        cur = y
+    caches = iter(state.caches)
 
-    pooled = global_avg_pool_forward(cur)
-    logits = linear_forward(pooled, LinearParams(store["head.w"], store["head.b"]))
+    def online_shift(a, shift):
+        eff = ShiftSpec(shift.n_fwd, 0, padding=PAD_ZERO, mode=MODE_UNI)
+        shifted, _ = shift_online_step(Tensor(a[:, 0], FRAME_AXES), eff, next(caches))
+        return shifted.data[:, None]
 
-    state.running_sum += logits.astype(np.float64)
+    logits = forward_walk(frame.data[:, None], spec, store, online_shift)[:, 0]
+
+    kept = logits.astype(np.float64)
     state.frames_seen += 1
-    if state.window is not None:
-        state.recent.append(logits.astype(np.float64))
-        if len(state.recent) > state.window:
-            state.running_sum -= state.recent.popleft()
-        count = len(state.recent)
-    else:
+    if state.window is None:
+        state.running_sum += kept
         count = state.frames_seen
+    else:
+        state.recent.append(kept)
+        if len(state.recent) > state.window:
+            state.recent.popleft()
+        # summed afresh each step: subtracting an evicted huge logit cannot
+        # restore the small ones that adding it had rounded away
+        state.running_sum[:] = sum(state.recent)
+        count = len(state.recent)
     consensus = (state.running_sum / count).astype(np.float32)
     return logits, consensus, state
 

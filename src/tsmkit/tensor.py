@@ -82,17 +82,6 @@ def frame_tensor(data) -> Tensor:
     return Tensor(data, FRAME_AXES)
 
 
-def slice_frame(x: Tensor, n: int, t: int) -> Tensor:
-    """Copy the C*H*W block of clip ``n`` at time ``t`` (batch extent 1)."""
-    _require_axes(x, ACTIVATION_AXES, "slice_frame")
-    n_total, t_total = x.extents[0], x.extents[1]
-    if not (0 <= n < n_total):
-        raise IndexError(f"n={n} out of range for N={n_total}")
-    if not (0 <= t < t_total):
-        raise IndexError(f"t={t} out of range for T={t_total}")
-    return Tensor(x.data[n : n + 1, t].copy(), FRAME_AXES)
-
-
 def frame_at(x: Tensor, t: int) -> Tensor:
     """Copy frame ``t`` across the whole batch as an (N, C, H, W) tensor."""
     _require_axes(x, ACTIVATION_AXES, "frame_at")

@@ -21,13 +21,14 @@ from .net import (
     PLACEMENT_RESIDUAL,
     BlockSpec,
     _conv_params,
+    _frames,
+    _unfold,
     check_weights,
     consensus_average,
     forward_offline_array,
     init_weights,
 )
 from .ops import (
-    Conv2dParams,
     ConvSpec,
     LinearParams,
     conv2d_backward,
@@ -36,7 +37,7 @@ from .ops import (
     relu_backward,
     softmax_cross_entropy,
 )
-from .shift import ShiftSpec, _shift_array_adjoint
+from .shift import ShiftSpec, _shift_array
 from .synthdata import SyntheticClip, stack_dataset
 
 
@@ -83,14 +84,6 @@ def toy_network_spec(t: int = 8, h: int = 16, w: int = 16) -> NetworkSpec:
                        num_classes=2)
 
 
-def _frames(a: np.ndarray) -> np.ndarray:
-    return a.reshape((a.shape[0] * a.shape[1],) + a.shape[2:])
-
-
-def _unfold(a: np.ndarray, n: int, t: int) -> np.ndarray:
-    return a.reshape((n, t) + a.shape[1:])
-
-
 def network_backward(grad_logits: np.ndarray, spec: NetworkSpec, store: dict,
                      cache: list) -> dict[str, np.ndarray]:
     """Gradients of every weight given d(loss)/d(per-frame logits).
@@ -110,11 +103,7 @@ def network_backward(grad_logits: np.ndarray, spec: NetworkSpec, store: dict,
         assert entry["kind"] == "block"
         b: BlockSpec = entry["spec"]
         name = entry["name"]
-        if b.placement == PLACEMENT_RESIDUAL:
-            g_skip, g_branch = g, g
-        else:
-            g_skip, g_branch = None, g
-        d_z2 = relu_backward(entry["z2"], g_branch)
+        d_z2 = relu_backward(entry["z2"], g)
         d_r1, gw2, gb2 = conv2d_backward(
             entry["r1"], _conv_params(b.conv2, store, name + ".conv2"), d_z2,
             cols=entry["cols2"])
@@ -126,17 +115,16 @@ def network_backward(grad_logits: np.ndarray, spec: NetworkSpec, store: dict,
         grads[name + ".conv1.w"], grads[name + ".conv1.b"] = gw1, gb1
         d_in = _unfold(d_xs, n, t)
         if b.placement != PLACEMENT_NONE:
-            d_in = _shift_array_adjoint(d_in, b.shift)
-        if g_skip is not None:
+            d_in = _shift_array(d_in, b.shift, -1)
+        if b.placement == PLACEMENT_RESIDUAL:
+            d_skip = g
             if b.downsample is not None:
                 d_skip, gwd, gbd = conv2d_backward(
                     _frames(entry["x"]),
-                    _conv_params(b.downsample, store, name + ".down"), g_skip,
+                    _conv_params(b.downsample, store, name + ".down"), g,
                     cols=entry["cols_down"])
                 grads[name + ".down.w"], grads[name + ".down.b"] = gwd, gbd
-                d_in = d_in + _unfold(d_skip, n, t)
-            else:
-                d_in = d_in + _unfold(g_skip, n, t)
+            d_in = d_in + _unfold(d_skip, n, t)
         g = _frames(d_in)
 
     stem = cache[0]
@@ -177,7 +165,7 @@ def train(spec: NetworkSpec, cfg: TrainConfig, data: list[SyntheticClip],
     """SGD over minibatches; returns (weights, per-epoch stats).
 
     Deterministic given (seed, config, data): weight init and the epoch
-    shuffles both derive from cfg.seed. A NaN loss aborts with
+    shuffles both derive from cfg.seed. A non-finite loss aborts with
     TrainingDiverged rather than returning poisoned weights.
 
     Shuffling moves adjacent index pairs (2i, 2i + 1) as units. Datasets
@@ -200,8 +188,8 @@ def train(spec: NetworkSpec, cfg: TrainConfig, data: list[SyntheticClip],
             idx = order[lo:lo + cfg.batch_size]
             loss, correct, grads = batch_loss_and_grads(
                 clips[idx], labels[idx], spec, store)
-            if math.isnan(loss):
-                raise TrainingDiverged(f"loss went NaN in epoch {epoch}")
+            if not math.isfinite(loss):
+                raise TrainingDiverged(f"loss went non-finite ({loss}) in epoch {epoch}")
             total_loss += loss * len(idx)
             total_correct += correct
             for name, grad in grads.items():

@@ -246,6 +246,11 @@ def test_softmax_stability_large_logits():
     loss, grad = softmax_cross_entropy(logits, np.array([0, 1]))
     assert math.isfinite(loss)
     assert np.isfinite(grad).all()
+    # confidently wrong rows: log-sum-exp gives the margin, not -log(0)
+    with np.errstate(divide="raise", invalid="raise"):
+        loss, grad = softmax_cross_entropy(logits, np.array([1, 0]))
+    assert math.isfinite(loss) and loss == 1000.0
+    assert np.isfinite(grad).all()
 
 
 def test_macs_and_params_accounting():

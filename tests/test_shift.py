@@ -5,13 +5,10 @@ from hypothesis.extra.numpy import arrays
 
 from tsmkit.errors import CacheMismatch, InvalidSpec
 from tsmkit.shift import (
-    ChannelPartition,
     ShiftCache,
     ShiftSpec,
     bytes_moved,
-    channel_partition,
     fraction_to_count,
-    partial_shift_spec,
     shift_adjoint,
     shift_inplace,
     shift_offline,
@@ -74,20 +71,10 @@ def test_shift_spec_validation():
         spec.check_channels(3)
 
 
-def test_channel_partition_covers_channels():
-    p = channel_partition(ShiftSpec(2, 3), 8)
-    assert p == ChannelPartition(range(0, 2), range(2, 5), range(5, 8))
-    assert [*p.fwd, *p.bwd, *p.untouched] == list(range(8))
-
-
 def test_fraction_resolution():
     assert fraction_to_count(64, "1/8") == 8
     assert fraction_to_count(7, "1/8") == 0
     assert fraction_to_count(9, "1/3") == 3
-    spec = partial_shift_spec(64)
-    assert (spec.n_fwd, spec.n_bwd) == (8, 8)
-    uni = partial_shift_spec(64, mode="uni")
-    assert (uni.n_fwd, uni.n_bwd) == (8, 0)
     full = spec_from_total_fraction(64, 1)
     assert (full.n_fwd, full.n_bwd) == (32, 32)
     assert spec_from_total_fraction(64, "1/8") == ShiftSpec(4, 4)
@@ -252,7 +239,6 @@ def test_online_first_frame_reads_zeros():
     assert not out.data[:, :2].any()
     np.testing.assert_array_equal(out.data[:, 2:], frame.data[:, 2:])
     np.testing.assert_array_equal(cache.slab, frame.data[:, :2])
-    assert cache.frame_counter == 1
 
 
 def test_online_second_frame_reads_first():
@@ -297,10 +283,8 @@ def test_online_rejects_bidirectional_and_mismatch():
 def test_cache_reset_zeroes_slab():
     cache = ShiftCache.for_stream(1, 2, 2, 2)
     cache.slab[:] = 3.0
-    cache.frame_counter = 7
     cache.reset()
     assert not cache.slab.any()
-    assert cache.frame_counter == 0
 
 
 def test_bytes_moved_values():

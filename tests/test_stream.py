@@ -60,7 +60,6 @@ def test_init_one_cache_per_shift_block():
     assert len(state.caches) == 3
     for cache in state.caches:
         assert not cache.slab.any()
-        assert cache.frame_counter == 0
     assert state.frames_seen == 0 and not state.running_sum.any()
 
 
@@ -212,6 +211,43 @@ def test_windowed_consensus_uses_recent_frames_only():
     assert np.max(np.abs(consensus - want)) <= 1e-6
     with pytest.raises(InvalidSpec):
         stream_init(spec, window=0)
+
+
+def test_windowed_consensus_recovers_after_huge_logit():
+    # zero head weights make each step's logits equal head.b, set per step;
+    # once the 1e17 frame leaves the window the consensus must read 1.0
+    spec = make_spec([uni_block()])
+    w = init_weights(spec, seed=9)
+    w["head.w"][:] = 0.0
+    frame = Tensor(np.ones((1, 1, 6, 6), dtype=np.float32), ("N", "C", "H", "W"))
+    state = stream_init(spec, window=2)
+    seen = []
+    for value in [1e17] + [1.0] * 6:
+        w["head.b"][:] = value
+        _, consensus, state = stream_step(frame, spec, w, state)
+        seen.append(consensus)
+    np.testing.assert_array_equal(seen[1], np.full((1, 2), 5e16, dtype=np.float32))
+    for consensus in seen[2:]:
+        np.testing.assert_array_equal(consensus, np.ones((1, 2), dtype=np.float32))
+
+
+def test_converted_bidirectional_circular_stream_matches_uni_offline():
+    # stream_init(convert=True) drops n_bwd and circular padding; stepping
+    # with the original spec must give the converted network's offline logits
+    rng = np.random.default_rng(47)
+    bi = BlockSpec(conv3(4, 4), conv3(4, 4), placement="residual",
+                   shift=ShiftSpec(2, 1, padding="circular"))
+    spec = make_spec([bi, plain_block(), bi], t=5)
+    w = init_weights(spec, seed=10)
+    clip = activation(rng.uniform(-1, 1, size=(2, 5, 1, 6, 6)).astype(np.float32))
+    with pytest.warns(UserWarning, match="circular"):
+        state = stream_init(spec, batch=2, convert=True)
+    online, consensus, _ = run_stream(clip, spec, w, state)
+    with pytest.warns(UserWarning, match="circular"):
+        uni = uni_network_spec(spec)
+    offline = forward_offline(clip, uni, w).data
+    assert np.max(np.abs(online - offline)) <= 1e-5
+    assert np.max(np.abs(consensus - consensus_average(offline))) <= 1e-5
 
 
 # --- error paths ---

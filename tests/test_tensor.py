@@ -6,7 +6,6 @@ from hypothesis.extra.numpy import arrays
 from tsmkit.errors import FormatError, InvalidShape
 from tsmkit.tensor import (
     ACTIVATION_AXES,
-    FRAME_AXES,
     Tensor,
     activation,
     dot,
@@ -16,7 +15,6 @@ from tsmkit.tensor import (
     max_abs_diff,
     reverse_time,
     save_tensor,
-    slice_frame,
     stack_frames,
     zeros,
 )
@@ -59,24 +57,6 @@ def test_tensor_invariants():
     t = Tensor(np.zeros((2, 3), dtype=np.float64), ("N", "C"))
     assert t.data.dtype == np.float32
     assert t.extents == (2, 3)
-
-
-def test_slice_frame_values():
-    rng = np.random.default_rng(0)
-    x = random_activation(rng, n=2, t=3, c=4, h=2, w=2)
-    f = slice_frame(x, 1, 1)
-    assert f.labels == FRAME_AXES
-    assert f.extents == (1, 4, 2, 2)
-    np.testing.assert_array_equal(f.data[0], x.data[1, 1])
-
-
-def test_slice_frame_out_of_range():
-    x = zeros([1, 3, 2, 2, 2], ACTIVATION_AXES)
-    with pytest.raises(IndexError):
-        slice_frame(x, 0, 3)
-    with pytest.raises(IndexError):
-        slice_frame(x, 1, 0)
-    assert not slice_frame(x, 0, 1).data.any()
 
 
 def test_stack_frames_identity_and_errors():
