@@ -162,10 +162,24 @@ def _print_consensus(consensus: np.ndarray) -> None:
         print(f"clip {i}: class {cls}  consensus [{values}]")
 
 
+def _require_finite(what: str, a: np.ndarray, path) -> None:
+    """Refuse NaN / Inf read from a file; the engine itself does not check."""
+    if not np.isfinite(a).all():
+        raise FormatError(f"{what} holds NaN or Inf", path=path)
+
+
+def _load_finite_weights(path: str) -> dict:
+    store = load_weights(path)
+    for name, w in store.items():
+        _require_finite(f"weight {name!r}", w, path)
+    return store
+
+
 def cmd_infer_offline(args) -> int:
     spec = load_spec(args.spec)
-    store = load_weights(args.weights)
+    store = _load_finite_weights(args.weights)
     clip = load_tensor(args.clip)
+    _require_finite("clip", clip.data, args.clip)
     logits = forward_offline(clip, spec, store)
     consensus = consensus_average(logits)
     _write_outputs(args.out, logits, consensus)
@@ -191,7 +205,7 @@ def _frame_paths(frames_dir: str) -> list[Path]:
 
 def cmd_infer_online(args) -> int:
     spec = load_spec(args.spec)
-    store = load_weights(args.weights)
+    store = _load_finite_weights(args.weights)
     paths = _frame_paths(args.frames_dir)
     per_frame = []
     step_ns = []
@@ -199,6 +213,7 @@ def cmd_infer_online(args) -> int:
     consensus = None
     for path in paths:
         frame = load_tensor(path)
+        _require_finite("frame", frame.data, path)
         if state is None:
             state = stream_init(spec, batch=frame.data.shape[0])
         t0 = time.perf_counter_ns()

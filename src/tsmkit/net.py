@@ -245,6 +245,8 @@ def block_forward_array(
     shifted = a if b.placement == PLACEMENT_NONE else shift(a, b.shift)
     xs = _frames(shifted)
     z1, cols1 = _conv_forward_cols(xs, _conv_params(b.conv1, store, name + ".conv1"))
+    if cache is None:
+        cols1 = None  # free conv1's columns before conv2 builds its own
     r1 = relu_forward(z1)
     z2, cols2 = _conv_forward_cols(r1, _conv_params(b.conv2, store, name + ".conv2"))
     y = relu_forward(z2)
@@ -282,6 +284,7 @@ def forward_walk(a: np.ndarray, spec: NetworkSpec, store: dict, shift,
     cur = _unfold(relu_forward(zs), n, t)
     if cache is not None:
         cache.append({"kind": "stem", "x": xf, "z": zs, "cols": cols_s})
+    del zs, cols_s  # the blocks run without the stem's columns unless cached
     for i, b in enumerate(spec.blocks):
         cur = block_forward_array(cur, b, store, f"block{i}", cache, shift)
     feat = _frames(cur)

@@ -3,8 +3,16 @@
 All kernels take and return plain numpy arrays in (N, C, H, W) / (N, F)
 layout and preserve the input dtype, so the float32 production path and the
 float64 shadow path used by gradient checks share one implementation.
-Convolution reduces over a fixed (channel, kh, kw) patch layout via matmul;
-results are bit-reproducible run to run on one machine.
+
+Convolution builds one frame-major column matrix per call, shape
+(N, C*K*K, Ho*Wo): row (c, kh, kw) of frame n is input plane c read at
+kernel tap (kh, kw), filled by K*K strided copies from the zero-padded
+NCHW input. One (C_out, C*K*K) @ (C*K*K, Ho*Wo) GEMM per frame then writes
+the output in NCHW directly, so activations never leave NCHW. Each frame's
+result is bit-identical whatever its batch position or batch size, and
+bit-reproducible run to run on one machine. The backward pass reuses the
+same columns for the weight gradient and scatters the column gradient back
+with K*K contiguous adds over the flattened padded plane.
 """
 
 from __future__ import annotations
@@ -13,7 +21,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidShape, InvalidSpec
 from .shift import ShiftSpec
@@ -135,13 +142,24 @@ def _conv_geometry(x: np.ndarray, p: Conv2dParams):
     return n, c_in, c_out, k, h, w, ho, wo
 
 
-def _im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
+def _im2col(x: np.ndarray, k: int, stride: int, pad: int, ho: int, wo: int) -> np.ndarray:
+    """(N, C, H, W) -> frame-major patch columns (N, C*K*K, Ho*Wo).
+
+    Row (c, kh, kw) of frame n holds that input plane read at kernel tap
+    (kh, kw); each tap is one strided copy whose inner runs are Wo long.
+    """
+    n, c, h, w = x.shape
     if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    # (N, C, Ho, Wo, K, K) -> (N, Ho, Wo, C, K, K) -> (N*Ho*Wo, C*K*K)
-    n, c, ho, wo = win.shape[:4]
-    return win.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, c * k * k), ho, wo
+        xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+        xp[:, :, pad : pad + h, pad : pad + w] = x
+    else:
+        xp = x
+    cols = np.empty((n, c, k, k, ho, wo), dtype=x.dtype)
+    for kh in range(k):
+        for kw in range(k):
+            cols[:, :, kh, kw] = xp[:, :, kh : kh + stride * (ho - 1) + 1 : stride,
+                                    kw : kw + stride * (wo - 1) + 1 : stride]
+    return cols.reshape(n, c * k * k, ho * wo)
 
 
 def _conv_forward_cols(x: np.ndarray, p: Conv2dParams):
@@ -152,11 +170,12 @@ def _conv_forward_cols(x: np.ndarray, p: Conv2dParams):
     paying for a second im2col.
     """
     n, c_in, c_out, k, h, w, ho, wo = _conv_geometry(x, p)
-    cols, _, _ = _im2col(x, k, p.stride, p.pad)
-    out = cols @ p.weights.reshape(c_out, c_in * k * k).T
-    out += p.bias
+    cols = _im2col(x, k, p.stride, p.pad, ho, wo)
+    # one (C_out, C*K*K) @ (C*K*K, Ho*Wo) GEMM per frame: already NCHW
+    out = np.matmul(p.weights.reshape(c_out, c_in * k * k), cols)
+    out += p.bias[:, None]
     _record_macs(n * c_out * c_in * k * k * ho * wo)
-    return out.reshape(n, ho, wo, c_out).transpose(0, 3, 1, 2).copy(), cols
+    return out.reshape(n, c_out, ho, wo), cols
 
 
 def conv2d_forward(x: np.ndarray, p: Conv2dParams) -> np.ndarray:
@@ -177,20 +196,29 @@ def conv2d_backward(x: np.ndarray, p: Conv2dParams, grad_out: np.ndarray,
             f"grad_out shape {grad_out.shape} != {(n, c_out, ho, wo)}"
         )
     if cols is None:
-        cols, _, _ = _im2col(x, k, p.stride, p.pad)
-    g2 = grad_out.transpose(0, 2, 3, 1).reshape(n * ho * wo, c_out)
-    grad_w = (g2.T @ cols).reshape(c_out, c_in, k, k)
+        cols = _im2col(x, k, p.stride, p.pad, ho, wo)
+    s = p.stride
+    hp, wp = h + 2 * p.pad, w + 2 * p.pad
+    g = grad_out.reshape(n, c_out, ho * wo)
+    grad_w = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(c_out, c_in, k, k)
     grad_b = grad_out.sum(axis=(0, 2, 3))
-    # scatter grad through each kernel tap back onto the padded input; the
-    # accumulator is channel-last so each tap view adds without a transpose
-    gflat = g2 @ p.weights.reshape(c_out, c_in * k * k)
-    gwin = gflat.reshape(n, ho, wo, c_in, k, k)
-    gxp = np.zeros((n, h + 2 * p.pad, w + 2 * p.pad, c_in), dtype=x.dtype)
+    # col2im on the flattened padded plane: with grad rows widened to the
+    # padded width wp (zeros past wo), output pixel m = i*wp + j of tap
+    # (kh, kw) lands on flat index kh*wp + kw + s*m, so each tap is one add
+    # of a run Ho*wp long; the zero columns land harmlessly on later rows
+    run = ho * wp
+    g_rows = np.zeros((n, c_out, ho, wp), dtype=grad_out.dtype)
+    g_rows[:, :, :, :wo] = grad_out
+    gcols = np.matmul(p.weights.reshape(c_out, c_in * k * k).T,
+                      g_rows.reshape(n, c_out, run)).reshape(n, c_in, k * k, run)
+    size = max(hp * wp, (k - 1) * (wp + 1) + s * (run - 1) + 1)
+    gxp = np.zeros((n, c_in, size), dtype=x.dtype)
     for kh in range(k):
         for kw in range(k):
-            gxp[:, kh : kh + p.stride * ho : p.stride,
-                kw : kw + p.stride * wo : p.stride] += gwin[:, :, :, :, kh, kw]
-    grad_x = gxp[:, p.pad : p.pad + h, p.pad : p.pad + w].transpose(0, 3, 1, 2)
+            at = kh * wp + kw
+            gxp[:, :, at : at + s * (run - 1) + 1 : s] += gcols[:, :, kh * k + kw]
+    grad_x = gxp[:, :, : hp * wp].reshape(n, c_in, hp, wp)[
+        :, :, p.pad : p.pad + h, p.pad : p.pad + w]
     return np.ascontiguousarray(grad_x), grad_w, grad_b
 
 

@@ -168,6 +168,57 @@ def test_infer_online_gap_in_numbering(uni_fixture, tmp_path, capsys):
     assert "contiguous" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["weights", "clip"])
+def test_infer_offline_rejects_non_finite(uni_fixture, tmp_path, capsys, bad, where):
+    root, spec, store, clip = uni_fixture
+    weights, clip_path = root / "net.tsmw", root / "clip.tsmt"
+    if where == "weights":
+        poisoned = {k: v.copy() for k, v in store.items()}
+        poisoned["block0.conv1.w"][0, 0, 1, 1] = bad
+        weights = tmp_path / "bad.tsmw"
+        save_weights(poisoned, weights)
+    else:
+        data = clip.copy()
+        data[0, 2, 0, 3, 4] = bad
+        clip_path = tmp_path / "bad.tsmt"
+        save_tensor(Tensor(data, ("N", "T", "C", "H", "W")), clip_path)
+    out = tmp_path / "out"
+    assert cli.main([
+        "infer-offline", "--spec", str(root / "net.json"),
+        "--weights", str(weights), "--clip", str(clip_path), "--out", str(out),
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "NaN or Inf" in err
+    assert ("block0.conv1.w" in err) == (where == "weights")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["weights", "frame"])
+def test_infer_online_rejects_non_finite(uni_fixture, tmp_path, capsys, where):
+    root, spec, store, clip = uni_fixture
+    weights = root / "net.tsmw"
+    data = clip.copy()
+    if where == "weights":
+        poisoned = {k: v.copy() for k, v in store.items()}
+        poisoned["head.b"][1] = np.inf
+        weights = tmp_path / "bad.tsmw"
+        save_weights(poisoned, weights)
+    else:
+        data[0, 3, 0, 0, 0] = np.nan  # the last frame: three steps run first
+    frames = tmp_path / "frames"
+    _write_frames(data, frames)
+    out = tmp_path / "out"
+    assert cli.main([
+        "infer-online", "--spec", str(root / "net.json"),
+        "--weights", str(weights), "--frames-dir", str(frames), "--out", str(out),
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "NaN or Inf" in err
+    assert ("frame_00003.tsmt" in err) == (where == "frame")
+    assert not out.exists()
+
+
 def test_bench_shift_writes_header(tmp_path, capsys):
     csv_path = tmp_path / "b.csv"
     code = cli.main([

@@ -9,6 +9,7 @@ from tsmkit.ops import (
     ConvSpec,
     LinearParams,
     LinearSpec,
+    _conv_forward_cols,
     conv2d_backward,
     conv2d_forward,
     count_macs,
@@ -67,8 +68,11 @@ def test_conv_matches_direct_loop(stride, pad):
 
 
 def test_conv_matches_direct_loop_randomized():
+    # each frame's output is also bit-identical whatever its batch position
+    # and batch size: order invariance and online/offline parity rely on it
     rng = np.random.default_rng(99)
     for _ in range(20):
+        n = int(rng.integers(1, 5))
         c_in = int(rng.integers(1, 4))
         c_out = int(rng.integers(1, 4))
         k = int(rng.integers(1, 4))
@@ -76,11 +80,16 @@ def test_conv_matches_direct_loop_randomized():
         w = int(rng.integers(k, 7))
         stride = int(rng.integers(1, 3))
         pad = int(rng.integers(0, 2))
-        x = rng.uniform(-1, 1, size=(1, c_in, h, w)).astype(np.float32)
+        x = rng.uniform(-1, 1, size=(n, c_in, h, w)).astype(np.float32)
         p = rand_conv(rng, c_in, c_out, k, stride=stride, pad=pad)
         got = conv2d_forward(x, p)
         want = conv2d_direct(x, p.weights, p.bias, stride=stride, pad=pad)
         assert np.max(np.abs(got - want)) <= 1e-5
+        np.testing.assert_array_equal(conv2d_forward(x[::-1], p), got[::-1])
+        np.testing.assert_array_equal(
+            conv2d_forward(np.concatenate([x, x]), p), np.concatenate([got, got]))
+        for i in range(n):
+            np.testing.assert_array_equal(conv2d_forward(x[i : i + 1], p), got[i : i + 1])
 
 
 def test_conv_shape_errors():
@@ -140,23 +149,29 @@ def test_conv_backward_finite_difference(stride, pad):
 
 
 def test_conv_backward_many_random_cases():
+    # passing the forward's columns gives bit-identical gradients to
+    # recomputing them
     rng = np.random.default_rng(7)
     for _ in range(20):
+        n = int(rng.integers(1, 4))
         c_in = int(rng.integers(1, 3))
         c_out = int(rng.integers(1, 3))
         k = int(rng.integers(1, 4))
         h = int(rng.integers(k, 6))
         stride = int(rng.integers(1, 3))
         pad = int(rng.integers(0, 2))
-        x = rng.uniform(-1, 1, size=(1, c_in, h, h))
+        x = rng.uniform(-1, 1, size=(n, c_in, h, h))
         p = Conv2dParams(
             rng.uniform(-1, 1, size=(c_out, c_in, k, k)),
             rng.uniform(-1, 1, size=(c_out,)), stride=stride, pad=pad,
         )
-        g = rng.uniform(-1, 1, size=conv2d_forward(x, p).shape)
-        gx, _, _ = conv2d_backward(x, p, g)
+        y, cols = _conv_forward_cols(x, p)
+        g = rng.uniform(-1, 1, size=y.shape)
+        grads = conv2d_backward(x, p, g)
         num = central_diff_grad(lambda v: float((conv2d_forward(v, p) * g).sum()), x)
-        assert rel_grad_error(gx, num) <= 1e-5
+        assert rel_grad_error(grads[0], num) <= 1e-5
+        for got, want in zip(conv2d_backward(x, p, g, cols=cols), grads):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_relu_values_and_grad():
