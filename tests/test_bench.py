@@ -108,10 +108,10 @@ def test_bench_network_rows():
 
 
 def test_bench_network_self_comparison_near_zero():
-    # a pass takes about 1 ms, so 400 interleaved reps span close to a second:
-    # enough samples that scheduler jitter stays under the 2-point noise
-    # budget for interleaved medians
-    report = bench_network(bench_spec(with_shift=False, hw=32), reps=400, warmup=5)
+    # a pass takes about 1 ms; on a shared 2-core host the medians of 400
+    # interleaved passes still drifted apart by up to 2.2 points, while
+    # 2000 kept scheduler jitter under the 2-point noise budget
+    report = bench_network(bench_spec(with_shift=False, hw=32), reps=2000, warmup=5)
     plain, tsm = report.rows
     assert tsm.bytes_moved == 0
     assert abs(tsm.overhead_pct) <= 2.0
