@@ -205,7 +205,8 @@ def conv2d_backward(x: np.ndarray, p: Conv2dParams, grad_out: np.ndarray,
     # col2im on the flattened padded plane: with grad rows widened to the
     # padded width wp (zeros past wo), output pixel m = i*wp + j of tap
     # (kh, kw) lands on flat index kh*wp + kw + s*m, so each tap is one add
-    # of a run Ho*wp long; the zero columns land harmlessly on later rows
+    # over Ho*wp positions, contiguous at stride 1; the zero columns land
+    # harmlessly on later rows or past the plane
     run = ho * wp
     g_rows = np.zeros((n, c_out, ho, wp), dtype=grad_out.dtype)
     g_rows[:, :, :, :wo] = grad_out
