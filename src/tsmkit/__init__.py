@@ -20,7 +20,6 @@ from .net import (
     BlockSpec,
     NetworkCost,
     NetworkSpec,
-    block_forward,
     check_weights,
     consensus_average,
     count_network,
@@ -64,15 +63,9 @@ from .tensor import (
     FRAME_AXES,
     Tensor,
     activation,
-    dot,
-    frame_at,
-    frame_tensor,
     load_tensor,
-    max_abs_diff,
     reverse_time,
     save_tensor,
-    stack_frames,
-    zeros,
 )
 from .train import (
     EpochStats,

@@ -18,6 +18,7 @@ import numpy as np
 from .bench import bench_network, bench_shift, rows_to_csv, write_csv
 from .errors import FormatError, InvalidSpec, TsmError
 from .net import (
+    _load_json,
     consensus_average,
     forward_offline,
     load_spec,
@@ -277,13 +278,7 @@ def cmd_gen_data(args) -> int:
 def _load_config(path: str | None) -> TrainConfig:
     if path is None:
         return TrainConfig()
-    import json
-
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise FormatError(e.msg, path=path, offset=e.pos)
+    raw = _load_json(path)
     if not isinstance(raw, dict):
         raise FormatError("config must be a JSON object", path=path)
     allowed = set(TrainConfig.__dataclass_fields__)

@@ -1,16 +1,22 @@
-"""Network assembly: temporal-shift blocks, offline inference, serialization.
+"""Network assembly: temporal-shift blocks, the forward and backward walks, serialization.
 
 A network is a stem convolution, a list of two-conv blocks with an optional
 per-block temporal shift, global average pooling per frame, and one linear
 head. Activations travel as (N, T, C, H, W); every convolution runs
 frame-wise by folding (N, T) into one batch axis. Weights live in a flat
 name-to-array store so specs stay pure shape descriptions.
+
+forward_walk is the one layer order: offline clips and live streams run it
+with different shifts, and with a record list it keeps what backward_walk
+needs to run the same order in reverse (block_backward_array mirrors
+block_forward_array; a shift's backward is the adjoint shift).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -23,14 +29,19 @@ from .ops import (
     LinearParams,
     LinearSpec,
     _conv_forward_cols,
+    _conv_param_grads,
+    conv2d_backward,
+    global_avg_pool_backward,
     global_avg_pool_forward,
+    linear_backward,
     linear_forward,
     macs_of,
     params_of,
+    relu_backward,
     relu_forward,
 )
 from .shift import MODE_BI, PAD_ZERO, ShiftSpec, _shift_array
-from .tensor import Tensor, _require_axes
+from .tensor import Tensor, _Reader, _require_axes
 
 PLACEMENT_NONE = "none"
 PLACEMENT_INPLACE = "inplace"
@@ -276,7 +287,7 @@ def forward_walk(a: np.ndarray, spec: NetworkSpec, store: dict, shift,
     differ only in ``shift(activation, shift_spec)``: the whole-clip
     _shift_array, or (T = 1) a swap against each block's one-frame cache.
     With ``cache`` given, every layer's inputs are recorded for
-    network_backward.
+    backward_walk.
     """
     n, t = a.shape[:2]
     xf = _frames(a)
@@ -312,10 +323,62 @@ def forward_offline_array(
     return forward_walk(a, spec, store, _shift_array, cache)
 
 
-def block_forward(x: Tensor, b: BlockSpec, store: dict, name: str = "block0") -> Tensor:
-    """Tensor-level single block; weights looked up under `name`."""
-    _require_axes(x, ("N", "T", "C", "H", "W"), "block input")
-    return Tensor(block_forward_array(x.data, b, store, name), x.labels)
+# --- backward ---
+
+
+def block_backward_array(g: np.ndarray, record: dict, store: dict,
+                         grads: dict) -> np.ndarray:
+    """d(loss)/d(block input) from d(loss)/d(block output), both (N, T, C, H, W).
+
+    record is the block's entry from forward_walk's cache; the block's
+    weight gradients are stored into grads under its weight names.
+    """
+    b, name = record["spec"], record["name"]
+    n, t = g.shape[:2]
+    gf = _frames(g)
+    d_z2 = relu_backward(record["z2"], gf)
+    d_r1, grads[name + ".conv2.w"], grads[name + ".conv2.b"] = conv2d_backward(
+        record["r1"], _conv_params(b.conv2, store, name + ".conv2"), d_z2,
+        cols=record["cols2"])
+    d_z1 = relu_backward(record["z1"], d_r1)
+    d_xs, grads[name + ".conv1.w"], grads[name + ".conv1.b"] = conv2d_backward(
+        record["xs"], _conv_params(b.conv1, store, name + ".conv1"), d_z1,
+        cols=record["cols1"])
+    d_in = _unfold(d_xs, n, t)
+    if b.placement != PLACEMENT_NONE:
+        d_in = _shift_array(d_in, b.shift, -1)
+    if b.placement == PLACEMENT_RESIDUAL:
+        d_skip = gf
+        if b.downsample is not None:
+            d_skip, grads[name + ".down.w"], grads[name + ".down.b"] = conv2d_backward(
+                _frames(record["x"]), _conv_params(b.downsample, store, name + ".down"),
+                gf, cols=record["cols_down"])
+        d_in = d_in + _unfold(d_skip, n, t)
+    return d_in
+
+
+def backward_walk(grad_logits: np.ndarray, store: dict,
+                  cache: list) -> dict[str, np.ndarray]:
+    """Gradients of every weight given d(loss)/d(per-frame logits).
+
+    forward_walk in reverse over the cache it recorded on the same batch:
+    head, pool, blocks last to first, stem. The records carry each block's
+    spec, so no NetworkSpec is needed. The network input needs no gradient,
+    so the stem yields only its weight and bias gradients.
+    """
+    n, t = grad_logits.shape[:2]
+    grads: dict[str, np.ndarray] = {}
+    stem, *blocks, head = cache
+    gx, grads["head.w"], grads["head.b"] = linear_backward(
+        head["pooled"], LinearParams(store["head.w"], store["head.b"]),
+        _frames(grad_logits))
+    g = _unfold(global_avg_pool_backward(head["pool_in"], gx), n, t)
+    for record in reversed(blocks):
+        g = block_backward_array(g, record, store, grads)
+    d_zs = relu_backward(stem["z"], _frames(g))
+    grads["stem.w"], grads["stem.b"] = _conv_param_grads(
+        stem["cols"], d_zs, store["stem.w"].shape)
+    return grads
 
 
 def forward_offline(clip: Tensor, spec: NetworkSpec, store: dict) -> Tensor:
@@ -398,32 +461,13 @@ def save_weights(store: dict, path) -> None:
         fh.write(b"".join(parts))
 
 
-class _Reader:
-    """Cursor over a byte blob; failures carry the path and byte offset."""
-
-    def __init__(self, buf: bytes, path):
-        self.buf = buf
-        self.path = path
-        self.pos = 0
-
-    def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise FormatError(f"truncated {what}", path=self.path, offset=self.pos)
-        out = self.buf[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def unpack(self, fmt: str, what: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
-
-
 def load_weights(path) -> dict[str, np.ndarray]:
     with open(path, "rb") as fh:
         buf = fh.read()
     r = _Reader(buf, path)
     magic = r.take(4, "magic")
     if magic != MAGIC_WEIGHTS:
-        raise FormatError(f"bad magic {magic!r}", path=path, offset=0)
+        raise FormatError(f"bad magic {bytes(magic)!r}", path=path, offset=0)
     (version,) = r.unpack("<B", "version")
     if version != WEIGHTS_VERSION:
         raise FormatError(f"unsupported version {version}", path=path, offset=4)
@@ -433,7 +477,7 @@ def load_weights(path) -> dict[str, np.ndarray]:
         (name_len,) = r.unpack("<H", "name length")
         name_off = r.pos
         try:
-            name = r.take(name_len, "name").decode("utf-8")
+            name = str(r.take(name_len, "name"), "utf-8")
         except UnicodeDecodeError:
             raise FormatError("name is not UTF-8", path=path, offset=name_off) from None
         if name in store:
@@ -447,10 +491,7 @@ def load_weights(path) -> dict[str, np.ndarray]:
             raise FormatError(
                 f"zero extent for {name!r}", path=path, offset=extents_off
             )
-        n_elems = 1
-        for e in extents:
-            n_elems *= e
-        payload = r.take(4 * n_elems, f"payload of {name!r}")
+        payload = r.take(4 * math.prod(extents), f"payload of {name!r}")
         store[name] = np.frombuffer(payload, dtype="<f4").reshape(extents).copy()
     if r.pos != len(buf):
         raise FormatError(
@@ -545,14 +586,24 @@ def parse_spec(obj) -> NetworkSpec:
     )
 
 
-def load_spec(path) -> NetworkSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+def _load_json(path):
+    """The JSON value in a UTF-8 file; FormatError names the path and offset."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
     try:
-        obj = json.loads(text)
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError("not UTF-8 text", path=path, offset=e.start) from None
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise FormatError(f"not valid JSON: {e.msg}", path=path, offset=e.pos) from None
-    return parse_spec(obj)
+    except (ValueError, RecursionError) as e:  # an over-long integer, too deep nesting
+        raise FormatError(f"not readable as JSON: {e}", path=path) from None
+
+
+def load_spec(path) -> NetworkSpec:
+    return parse_spec(_load_json(path))
 
 
 def _conv_json(c: ConvSpec) -> dict:

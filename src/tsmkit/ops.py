@@ -183,6 +183,18 @@ def conv2d_forward(x: np.ndarray, p: Conv2dParams) -> np.ndarray:
     return _conv_forward_cols(x, p)[0]
 
 
+def _conv_param_grads(cols: np.ndarray, grad_out: np.ndarray, w_shape):
+    """(grad_w, grad_b) of a conv from its im2col columns and d(loss)/d(output).
+
+    grad_w is the sum over frames of grad_out[n] @ cols[n]^T. A conv whose
+    input needs no gradient (the network's stem) stops here.
+    """
+    n, c_out = grad_out.shape[:2]
+    g = grad_out.reshape(n, c_out, cols.shape[2])
+    grad_w = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w_shape)
+    return grad_w, grad_out.sum(axis=(0, 2, 3))
+
+
 def conv2d_backward(x: np.ndarray, p: Conv2dParams, grad_out: np.ndarray,
                     cols: np.ndarray | None = None):
     """Gradients of sum(grad_out * conv2d_forward(x, p)) w.r.t. (x, w, b).
@@ -197,11 +209,9 @@ def conv2d_backward(x: np.ndarray, p: Conv2dParams, grad_out: np.ndarray,
         )
     if cols is None:
         cols = _im2col(x, k, p.stride, p.pad, ho, wo)
+    grad_w, grad_b = _conv_param_grads(cols, grad_out, p.weights.shape)
     s = p.stride
     hp, wp = h + 2 * p.pad, w + 2 * p.pad
-    g = grad_out.reshape(n, c_out, ho * wo)
-    grad_w = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(c_out, c_in, k, k)
-    grad_b = grad_out.sum(axis=(0, 2, 3))
     # col2im on the flattened padded plane: with grad rows widened to the
     # padded width wp (zeros past wo), output pixel m = i*wp + j of tap
     # (kh, kw) lands on flat index kh*wp + kw + s*m, so each tap is one add

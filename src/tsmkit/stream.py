@@ -5,7 +5,8 @@ each shift-bearing block keeps a small cache holding the forward-shift
 channels of the previous frame. Both run the same forward walk
 (net.forward_walk) and differ only in the shift. Stepping a frame costs
 exactly the MACs of the shift-free 2D network; temporal modeling adds only
-the cache copies.
+the cache copies. A stream takes uni-directional shifts only;
+uni_network_spec gives the streaming form of a bi-directional network.
 """
 
 from __future__ import annotations
@@ -75,13 +76,13 @@ def _shift_blocks(spec: NetworkSpec):
     return [(i, b) for i, b in enumerate(spec.blocks) if b.placement != PLACEMENT_NONE]
 
 
-def stream_init(spec: NetworkSpec, batch: int = 1, convert: bool = False,
+def stream_init(spec: NetworkSpec, batch: int = 1,
                 window: int | None = None) -> StreamState:
     """Zeroed caches sized from shape inference; strict about modes.
 
-    A bi-directional shift cannot stream; with convert=False it raises
-    InvalidSpec, with convert=True the uni_network_spec conversion is
-    applied (with its warnings) before sizing the caches.
+    A bi-directional shift cannot stream and raises InvalidSpec;
+    uni_network_spec(spec) is its streaming form, and stream_step then
+    takes that converted spec too.
     """
     if batch < 1:
         raise InvalidSpec(f"batch must be >= 1, got {batch}")
@@ -89,13 +90,10 @@ def stream_init(spec: NetworkSpec, batch: int = 1, convert: bool = False,
         raise InvalidSpec(f"window must be >= 1, got {window}")
     for i, b in _shift_blocks(spec):
         if b.shift.mode != MODE_UNI:
-            if not convert:
-                raise InvalidSpec(
-                    f"block {i} shift is bi-directional; streaming needs "
-                    "uni-directional shifts (or convert=True)"
-                )
-            spec = uni_network_spec(spec)
-            break
+            raise InvalidSpec(
+                f"block {i} shift is bi-directional; streaming needs "
+                "uni-directional shifts (convert with uni_network_spec)"
+            )
     shapes = spec.stage_shapes()
     caches = [
         ShiftCache.for_stream(batch, b.shift.n_fwd, shapes[i][1], shapes[i][2])
@@ -121,8 +119,8 @@ def stream_step(frame: Tensor, spec: NetworkSpec, store: dict,
 
     The frame runs through net.forward_walk as a one-frame clip. Each
     shift-bearing block shifts in streaming form (forward group from its
-    cache, cache updated from this frame); stream_init is the gate that
-    decides whether a bi-directional spec may get here.
+    cache, cache updated from this frame); a bi-directional shift raises
+    InvalidSpec there.
     """
     _require_axes(frame, FRAME_AXES, "frame")
     n, c, h, w = frame.extents
@@ -144,8 +142,7 @@ def stream_step(frame: Tensor, spec: NetworkSpec, store: dict,
     caches = iter(state.caches)
 
     def online_shift(a, shift):
-        eff = ShiftSpec(shift.n_fwd, 0, padding=PAD_ZERO, mode=MODE_UNI)
-        shifted, _ = shift_online_step(Tensor(a[:, 0], FRAME_AXES), eff, next(caches))
+        shifted, _ = shift_online_step(Tensor(a[:, 0], FRAME_AXES), shift, next(caches))
         return shifted.data[:, None]
 
     logits = forward_walk(frame.data[:, None], spec, store, online_shift)[:, 0]

@@ -1,15 +1,16 @@
 """Plain SGD on softmax cross-entropy of consensus logits.
 
-The backward pass is written out by hand, mirroring the forward cache:
-consensus distributes gradient uniformly over frames, shift layers
-backpropagate through the adjoint shift (the direction-swapped shift), and
-everything else is the standard conv/relu/pool/linear chain. Training the
-toy task demonstrates what consensus alone cannot learn: frame order.
+A minibatch runs the network's forward walk with a record list and then
+net.backward_walk, the same layer order in reverse (shift layers through
+the adjoint shift). Consensus spreads its gradient uniformly over frames.
+Training the toy task demonstrates what consensus alone cannot learn:
+frame order.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,28 +18,20 @@ import numpy as np
 from .errors import InvalidSpec, TrainingDiverged
 from .net import (
     NetworkSpec,
-    PLACEMENT_NONE,
     PLACEMENT_RESIDUAL,
     BlockSpec,
-    _conv_params,
-    _frames,
-    _unfold,
+    backward_walk,
     check_weights,
     consensus_average,
     forward_offline_array,
     init_weights,
 )
-from .ops import (
-    ConvSpec,
-    LinearParams,
-    conv2d_backward,
-    global_avg_pool_backward,
-    linear_backward,
-    relu_backward,
-    softmax_cross_entropy,
-)
-from .shift import ShiftSpec, _shift_array
+from .ops import ConvSpec, softmax_cross_entropy
+from .shift import ShiftSpec
 from .synthdata import SyntheticClip, stack_dataset
+
+# clips per forward pass in evaluate; bounds its peak memory
+EVAL_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -51,8 +44,14 @@ class TrainConfig:
     test_count: int = 256
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise InvalidSpec(f"learning rate must be >= 0, got {self.learning_rate}")
+        lr = self.learning_rate
+        if (isinstance(lr, bool) or not isinstance(lr, numbers.Real)
+                or not math.isfinite(lr) or lr < 0):
+            raise InvalidSpec(f"learning rate must be a finite number >= 0, got {lr!r}")
+        for name in ("batch_size", "epochs", "seed", "train_count", "test_count"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise InvalidSpec(f"{name} must be an integer, got {v!r}")
         if min(self.batch_size, self.epochs, self.train_count, self.test_count) < 1:
             raise InvalidSpec(f"config values must be positive: {self}")
         if self.seed < 0:
@@ -84,58 +83,6 @@ def toy_network_spec(t: int = 8, h: int = 16, w: int = 16) -> NetworkSpec:
                        num_classes=2)
 
 
-def network_backward(grad_logits: np.ndarray, spec: NetworkSpec, store: dict,
-                     cache: list) -> dict[str, np.ndarray]:
-    """Gradients of every weight given d(loss)/d(per-frame logits).
-
-    cache is the list recorded by forward_offline_array on the same batch.
-    """
-    n, t = grad_logits.shape[:2]
-    grads: dict[str, np.ndarray] = {}
-    head = cache[-1]
-    assert head["kind"] == "head"
-    g_flat = _frames(grad_logits)
-    gx, grads["head.w"], grads["head.b"] = linear_backward(
-        head["pooled"], LinearParams(store["head.w"], store["head.b"]), g_flat)
-    g = global_avg_pool_backward(head["pool_in"], gx)
-
-    for entry in reversed(cache[1:-1]):
-        assert entry["kind"] == "block"
-        b: BlockSpec = entry["spec"]
-        name = entry["name"]
-        d_z2 = relu_backward(entry["z2"], g)
-        d_r1, gw2, gb2 = conv2d_backward(
-            entry["r1"], _conv_params(b.conv2, store, name + ".conv2"), d_z2,
-            cols=entry["cols2"])
-        grads[name + ".conv2.w"], grads[name + ".conv2.b"] = gw2, gb2
-        d_z1 = relu_backward(entry["z1"], d_r1)
-        d_xs, gw1, gb1 = conv2d_backward(
-            entry["xs"], _conv_params(b.conv1, store, name + ".conv1"), d_z1,
-            cols=entry["cols1"])
-        grads[name + ".conv1.w"], grads[name + ".conv1.b"] = gw1, gb1
-        d_in = _unfold(d_xs, n, t)
-        if b.placement != PLACEMENT_NONE:
-            d_in = _shift_array(d_in, b.shift, -1)
-        if b.placement == PLACEMENT_RESIDUAL:
-            d_skip = g
-            if b.downsample is not None:
-                d_skip, gwd, gbd = conv2d_backward(
-                    _frames(entry["x"]),
-                    _conv_params(b.downsample, store, name + ".down"), g,
-                    cols=entry["cols_down"])
-                grads[name + ".down.w"], grads[name + ".down.b"] = gwd, gbd
-            d_in = d_in + _unfold(d_skip, n, t)
-        g = _frames(d_in)
-
-    stem = cache[0]
-    assert stem["kind"] == "stem"
-    d_zs = relu_backward(stem["z"], g)
-    _, grads["stem.w"], grads["stem.b"] = conv2d_backward(
-        stem["x"], _conv_params(spec.stem, store, "stem"), d_zs,
-        cols=stem["cols"])
-    return grads
-
-
 def batch_loss_and_grads(clips: np.ndarray, labels: np.ndarray,
                          spec: NetworkSpec, store: dict):
     """(loss, correct count, weight gradients) for one minibatch."""
@@ -148,7 +95,7 @@ def batch_loss_and_grads(clips: np.ndarray, labels: np.ndarray,
     # consensus is a mean over frames: gradient spreads uniformly as 1/T
     d_logits = np.broadcast_to(
         (d_cons / t)[:, None, :], logits.shape).astype(logits.dtype)
-    grads = network_backward(d_logits, spec, store, cache)
+    grads = backward_walk(d_logits, store, cache)
     return loss, correct, grads
 
 
@@ -204,16 +151,15 @@ def train(spec: NetworkSpec, cfg: TrainConfig, data: list[SyntheticClip],
     return store, history
 
 
-def evaluate(spec: NetworkSpec, store: dict, data: list[SyntheticClip],
-             chunk: int = 256) -> float:
+def evaluate(spec: NetworkSpec, store: dict, data: list[SyntheticClip]) -> float:
     """Fraction of clips whose consensus argmax hits the label."""
     check_weights(spec, store)
     clips, labels = stack_dataset(data)
     correct = 0
-    for lo in range(0, len(labels), chunk):
-        logits = forward_offline_array(clips[lo:lo + chunk], spec, store)
+    for lo in range(0, len(labels), EVAL_CHUNK):
+        logits = forward_offline_array(clips[lo:lo + EVAL_CHUNK], spec, store)
         pred = np.argmax(consensus_average(logits), axis=1)
-        correct += int(np.sum(pred == labels[lo:lo + chunk]))
+        correct += int(np.sum(pred == labels[lo:lo + EVAL_CHUNK]))
     return correct / len(labels)
 
 

@@ -103,6 +103,20 @@ def test_infer_offline_missing_file(uni_fixture, tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_infer_offline_non_utf8_spec(uni_fixture, tmp_path, capsys):
+    root, *_ = uni_fixture
+    spec = tmp_path / "latin1.json"
+    spec.write_bytes(b'{"input": \xff}')
+    code = cli.main([
+        "infer-offline", "--spec", str(spec),
+        "--weights", str(root / "net.tsmw"),
+        "--clip", str(root / "clip.tsmt"), "--out", str(tmp_path / "o"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(spec) in err
+
+
 def _write_frames(clip: np.ndarray, frames_dir) -> None:
     frames_dir.mkdir()
     for t in range(clip.shape[1]):
@@ -306,3 +320,24 @@ def test_train_toy_bad_config(tmp_path, capsys):
     cfg.write_text('{"epochs": ')
     assert cli.main(["train-toy", "--config", str(cfg)]) == 1
     capsys.readouterr()
+
+
+TINY = b'"epochs": 1, "train_count": 8, "test_count": 4'
+
+
+@pytest.mark.parametrize("body, says", [
+    (b'{"epochs": \xff}', "UTF-8"),
+    (b'{"epochs": "3"}', "epochs"),
+    (b'{' + TINY + b', "batch_size": true}', "batch_size"),
+    (b'{' + TINY + b', "learning_rate": 1e400}', "learning rate"),
+    (b'{' + TINY + b', "learning_rate": NaN}', "learning rate"),
+], ids=["non-utf8", "string-count", "bool-count", "inf-rate", "nan-rate"])
+def test_train_toy_rejects_bad_config_values(tmp_path, capsys, body, says):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(body)
+    weights = tmp_path / "w.tsmw"
+    code = cli.main(["train-toy", "--config", str(cfg), "--out-weights", str(weights)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and says in err
+    assert not weights.exists()

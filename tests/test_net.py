@@ -10,7 +10,7 @@ from tsmkit.errors import FormatError, InvalidShape, InvalidSpec
 from tsmkit.net import (
     BlockSpec,
     NetworkSpec,
-    block_forward,
+    block_forward_array,
     check_weights,
     consensus_average,
     count_network,
@@ -142,8 +142,8 @@ def test_block_forward_matches_hand_composition(placement):
     b = simple_block(placement=placement, shift=shift, c=4)
     store = block_store(rng, b)
     x = activation(rng.uniform(-1, 1, size=(2, 4, 4, 5, 5)).astype(np.float32))
-    got = block_forward(x, b, store)
-    np.testing.assert_array_equal(got.data, hand_block(x, b, store))
+    got = block_forward_array(x.data, b, store, "block0")
+    np.testing.assert_array_equal(got, hand_block(x, b, store))
 
 
 def test_block_identity_shift_collapses_to_plain_residual():
@@ -151,11 +151,11 @@ def test_block_identity_shift_collapses_to_plain_residual():
     b_zero = simple_block(placement="residual", shift=ShiftSpec(0, 0), c=4)
     store = block_store(rng, b_zero)
     x = activation(rng.uniform(-1, 1, size=(1, 4, 4, 5, 5)).astype(np.float32))
-    got = block_forward(x, b_zero, store)
+    got = block_forward_array(x.data, b_zero, store, "block0")
     # same thing assembled without any shift in the path
     b_plain = simple_block(placement="none", c=4)
-    branch = block_forward(x, b_plain, store)
-    np.testing.assert_array_equal(got.data, x.data + branch.data)
+    branch = block_forward_array(x.data, b_plain, store, "block0")
+    np.testing.assert_array_equal(got, x.data + branch)
 
 
 def test_block_zero_branch_preserves_input():
@@ -166,8 +166,8 @@ def test_block_zero_branch_preserves_input():
         store[key + ".b"] = np.zeros(4, dtype=np.float32)
     rng = np.random.default_rng(22)
     x = activation(rng.uniform(-1, 1, size=(1, 3, 4, 5, 5)).astype(np.float32))
-    y = block_forward(x, b, store)
-    np.testing.assert_array_equal(y.data, x.data)
+    y = block_forward_array(x.data, b, store, "block0")
+    np.testing.assert_array_equal(y, x.data)
 
 
 def test_block_shape_mismatch_raises():
@@ -176,7 +176,7 @@ def test_block_shape_mismatch_raises():
     store = block_store(rng, b)
     x = activation(np.zeros((1, 2, 8, 5, 5), dtype=np.float32))
     with pytest.raises(InvalidShape):
-        block_forward(x, b, store)
+        block_forward_array(x.data, b, store, "block0")
 
 
 # --- full network forward ---
@@ -479,6 +479,20 @@ def test_spec_malformed_json(tmp_path):
         load_spec(path)
     assert str(exc.value.path) == str(path)
     assert exc.value.offset is not None
+
+
+@pytest.mark.parametrize("raw, offset", [
+    (b'{"input": \xff}', 10),               # not UTF-8
+    (b'{"input": ' + b"9" * 5000 + b"}", None),  # past int's digit limit
+    (b"[" * 100_000, None),                   # nested past the recursion limit
+], ids=["non-utf8", "long-int", "deep"])
+def test_spec_unreadable_text(tmp_path, raw, offset):
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    with pytest.raises(FormatError) as exc:
+        load_spec(path)
+    assert exc.value.path == str(path)
+    assert exc.value.offset == offset
 
 
 # --- cost accounting ---

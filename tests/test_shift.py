@@ -17,15 +17,13 @@ from tsmkit.shift import (
     spec_from_total_fraction,
 )
 from tsmkit.tensor import (
-    ACTIVATION_AXES,
+    FRAME_AXES,
+    Tensor,
     activation,
-    dot,
-    frame_at,
     reverse_time,
-    stack_frames,
 )
 
-from helpers import random_activation, random_shape
+from helpers import random_activation, random_frame, random_shape
 
 
 @st.composite
@@ -190,8 +188,9 @@ def test_adjoint_inner_product_identity(pair):
     x, spec = pair
     rng = np.random.default_rng(9)
     y = random_activation(rng, *x.extents)
-    lhs = dot(shift_offline(x, spec), y)
-    rhs = dot(x, shift_adjoint(y, spec))
+    f64 = np.float64
+    lhs = float(np.vdot(shift_offline(x, spec).data.astype(f64), y.data.astype(f64)))
+    rhs = float(np.vdot(x.data.astype(f64), shift_adjoint(y, spec).data.astype(f64)))
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
 
@@ -232,7 +231,7 @@ def test_shift_only_moves_bit_patterns(pair):
 def test_online_first_frame_reads_zeros():
     rng = np.random.default_rng(21)
     f = random_activation(rng, n=1, t=1, c=4, h=2, w=2)
-    frame = frame_at(f, 0)
+    frame = Tensor(f.data[:, 0], FRAME_AXES)
     spec = ShiftSpec(2, 0, mode="uni")
     cache = ShiftCache.for_stream(1, 2, 2, 2)
     out, cache = shift_online_step(frame, spec, cache)
@@ -244,7 +243,7 @@ def test_online_first_frame_reads_zeros():
 def test_online_second_frame_reads_first():
     rng = np.random.default_rng(22)
     x = random_activation(rng, n=1, t=2, c=2, h=2, w=2)
-    f1, f2 = frame_at(x, 0), frame_at(x, 1)
+    f1, f2 = Tensor(x.data[:, 0], FRAME_AXES), Tensor(x.data[:, 1], FRAME_AXES)
     spec = ShiftSpec(1, 0, mode="uni")
     cache = ShiftCache.for_stream(1, 1, 2, 2)
     _, cache = shift_online_step(f1, spec, cache)
@@ -259,22 +258,21 @@ def test_online_stream_equals_offline():
     cache = ShiftCache.for_stream(2, 3, 3, 3)
     outs = []
     for t in range(5):
-        out, cache = shift_online_step(frame_at(x, t), spec, cache)
-        outs.append(out)
-    streamed = stack_frames(outs)
+        out, cache = shift_online_step(Tensor(x.data[:, t], FRAME_AXES), spec, cache)
+        outs.append(out.data)
     offline = shift_offline(x, spec)
-    np.testing.assert_array_equal(streamed.data, offline.data)
+    np.testing.assert_array_equal(np.stack(outs, axis=1), offline.data)
 
 
 def test_online_rejects_bidirectional_and_mismatch():
-    f = frame_at(random_activation(np.random.default_rng(0), t=1), 0)
+    f = random_frame(np.random.default_rng(0))
     cache = ShiftCache.for_stream(1, 1, 3, 3)
     with pytest.raises(InvalidSpec):
         shift_online_step(f, ShiftSpec(1, 1), cache)
     bad_cache = ShiftCache.for_stream(1, 1, 5, 5)
     with pytest.raises(CacheMismatch):
         shift_online_step(f, ShiftSpec(1, 0, mode="uni"), bad_cache)
-    thin = frame_at(random_activation(np.random.default_rng(0), t=1, c=2), 0)
+    thin = random_frame(np.random.default_rng(0), c=2)
     wide_cache = ShiftCache.for_stream(1, 4, 3, 3)
     with pytest.raises(CacheMismatch):
         shift_online_step(thin, ShiftSpec(4, 0, mode="uni"), wide_cache)

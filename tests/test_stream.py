@@ -20,7 +20,7 @@ from tsmkit.stream import (
     stream_step,
     uni_network_spec,
 )
-from tsmkit.tensor import Tensor, activation, frame_at
+from tsmkit.tensor import FRAME_AXES, Tensor, activation
 
 from helpers import random_network_spec
 
@@ -46,7 +46,8 @@ def make_spec(blocks, t=4, hw=6):
 def run_stream(clip, spec, w, state):
     logits, consensus = [], None
     for t in range(clip.extents[1]):
-        out, consensus, state = stream_step(frame_at(clip, t), spec, w, state)
+        out, consensus, state = stream_step(
+            Tensor(clip.data[:, t], FRAME_AXES), spec, w, state)
         logits.append(out)
     return np.stack(logits, axis=1), consensus, state
 
@@ -71,10 +72,10 @@ def test_init_no_shifts_empty_caches():
 def test_init_rejects_bidirectional_unless_converted():
     spec = make_spec([BlockSpec(conv3(4, 4), conv3(4, 4), placement="residual",
                                 shift=ShiftSpec(1, 1))])
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(InvalidSpec, match="uni_network_spec"):
         stream_init(spec)
     with pytest.warns(UserWarning, match="n_bwd"):
-        state = stream_init(spec, convert=True)
+        state = stream_init(uni_network_spec(spec))
     assert len(state.caches) == 1
     with pytest.raises(InvalidSpec):
         stream_init(make_spec([uni_block()]), batch=0)
@@ -115,7 +116,8 @@ def test_first_frame_sees_zero_history():
     w = init_weights(spec, seed=1)
     clip = activation(rng.uniform(-1, 1, size=(1, 1, 1, 6, 6)).astype(np.float32))
     offline = forward_offline(clip, spec, w).data
-    logits, _, _ = stream_step(frame_at(clip, 0), spec, w, stream_init(spec))
+    logits, _, _ = stream_step(
+        Tensor(clip.data[:, 0], FRAME_AXES), spec, w, stream_init(spec))
     assert np.max(np.abs(logits - offline[:, 0])) <= 1e-5
 
 
@@ -205,10 +207,11 @@ def test_windowed_consensus_uses_recent_frames_only():
     spec = make_spec([uni_block()], t=5)
     w = init_weights(spec, seed=7)
     clip = activation(rng.uniform(-1, 1, size=(1, 5, 1, 6, 6)).astype(np.float32))
-    state = stream_init(spec, window=2)
-    logits, consensus, _ = run_stream(clip, spec, w, state)
-    want = logits[:, -2:].astype(np.float64).mean(axis=1).astype(np.float32)
-    assert np.max(np.abs(consensus - want)) <= 1e-6
+    for window in (1, 2):
+        state = stream_init(spec, window=window)
+        logits, consensus, _ = run_stream(clip, spec, w, state)
+        want = logits[:, -window:].astype(np.float64).mean(axis=1).astype(np.float32)
+        assert np.max(np.abs(consensus - want)) <= 1e-6
     with pytest.raises(InvalidSpec):
         stream_init(spec, window=0)
 
@@ -232,8 +235,9 @@ def test_windowed_consensus_recovers_after_huge_logit():
 
 
 def test_converted_bidirectional_circular_stream_matches_uni_offline():
-    # stream_init(convert=True) drops n_bwd and circular padding; stepping
-    # with the original spec must give the converted network's offline logits
+    # uni_network_spec drops n_bwd and circular padding; streaming the
+    # converted spec gives its offline logits, and stepping with the
+    # original bi-directional spec is refused by the shift
     rng = np.random.default_rng(47)
     bi = BlockSpec(conv3(4, 4), conv3(4, 4), placement="residual",
                    shift=ShiftSpec(2, 1, padding="circular"))
@@ -241,10 +245,12 @@ def test_converted_bidirectional_circular_stream_matches_uni_offline():
     w = init_weights(spec, seed=10)
     clip = activation(rng.uniform(-1, 1, size=(2, 5, 1, 6, 6)).astype(np.float32))
     with pytest.warns(UserWarning, match="circular"):
-        state = stream_init(spec, batch=2, convert=True)
-    online, consensus, _ = run_stream(clip, spec, w, state)
-    with pytest.warns(UserWarning, match="circular"):
         uni = uni_network_spec(spec)
+    state = stream_init(uni, batch=2)
+    with pytest.raises(InvalidSpec):
+        stream_step(Tensor(clip.data[:, 0], FRAME_AXES), spec, w, state)
+    assert state.frames_seen == 0
+    online, consensus, _ = run_stream(clip, uni, w, state)
     offline = forward_offline(clip, uni, w).data
     assert np.max(np.abs(online - offline)) <= 1e-5
     assert np.max(np.abs(consensus - consensus_average(offline))) <= 1e-5

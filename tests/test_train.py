@@ -228,3 +228,9 @@ def test_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(InvalidSpec):
         TrainConfig(seed=-1)
+    for bad in ({"epochs": "3"}, {"batch_size": True}, {"train_count": 8.0},
+                {"seed": None}, {"learning_rate": math.inf},
+                {"learning_rate": math.nan}, {"learning_rate": "0.1"},
+                {"learning_rate": True}):
+        with pytest.raises(InvalidSpec):
+            TrainConfig(**bad)
