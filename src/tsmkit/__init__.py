@@ -73,7 +73,6 @@ from .train import (
     evaluate,
     metrics_to_csv,
     toy_network_spec,
-    train,
 )
 
 __version__ = "0.1.0"

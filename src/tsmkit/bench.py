@@ -18,7 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidSpec
-from .net import NetworkSpec, forward_offline_array, init_weights, with_placements_none
+from .net import (NetworkSpec, _shift_sites, forward_offline_array, init_weights,
+                  with_placements_none)
 from .shift import ShiftSpec, bytes_moved, shift_inplace, spec_from_total_fraction
 from .tensor import Tensor, ACTIVATION_AXES
 
@@ -164,15 +165,10 @@ def bench_network(spec: NetworkSpec, reps: int = MIN_REPS, warmup: int = 3,
         [runner(plain), runner(spec)], reps, warmup)
     baseline = max(base_med, 1)
 
-    shapes = spec.stage_shapes()
-    moved = n_fwd = n_bwd = 0
-    for i, b in enumerate(spec.blocks):
-        if b.placement == "none" or b.shift is None:
-            continue
-        c, h, w = shapes[i]
-        moved += bytes_moved(b.shift, (1, c, spec.frames, h, w))
-        n_fwd += b.shift.n_fwd
-        n_bwd += b.shift.n_bwd
+    sites = list(_shift_sites(spec))
+    moved = sum(bytes_moved(s, (1, c, spec.frames, h, w)) for _, s, (c, h, w) in sites)
+    n_fwd = sum(s.n_fwd for _, s, _ in sites)
+    n_bwd = sum(s.n_bwd for _, s, _ in sites)
 
     common = dict(n=1, c=spec.in_channels, t=spec.frames,
                   h=spec.height, w=spec.width, reps=reps,

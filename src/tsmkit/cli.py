@@ -19,6 +19,7 @@ from .bench import bench_network, bench_shift, rows_to_csv, write_csv
 from .errors import FormatError, InvalidSpec, TsmError
 from .net import (
     _load_json,
+    check_weights,
     consensus_average,
     forward_offline,
     load_spec,
@@ -182,9 +183,9 @@ def cmd_infer_offline(args) -> int:
     clip = load_tensor(args.clip)
     _require_finite("clip", clip.data, args.clip)
     logits = forward_offline(clip, spec, store)
-    consensus = consensus_average(logits)
-    _write_outputs(args.out, logits, consensus)
-    _print_consensus(consensus.data)
+    consensus = consensus_average(logits.data)
+    _write_outputs(args.out, logits, Tensor(consensus, ("N", "C")))
+    _print_consensus(consensus)
     return 0
 
 
@@ -207,6 +208,7 @@ def _frame_paths(frames_dir: str) -> list[Path]:
 def cmd_infer_online(args) -> int:
     spec = load_spec(args.spec)
     store = _load_finite_weights(args.weights)
+    check_weights(spec, store)
     paths = _frame_paths(args.frames_dir)
     per_frame = []
     step_ns = []

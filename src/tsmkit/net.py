@@ -180,20 +180,29 @@ def with_placements_none(spec: NetworkSpec) -> NetworkSpec:
 # --- weight store ---
 
 
+def _conv_layers(spec: NetworkSpec):
+    """(weight name, ConvSpec, input (C, H, W)) for every conv, in network order."""
+    yield "stem", spec.stem, (spec.in_channels, spec.height, spec.width)
+    for i, (b, (c, h, w)) in enumerate(zip(spec.blocks, spec.stage_shapes())):
+        yield f"block{i}.conv1", b.conv1, (c, h, w)
+        yield f"block{i}.conv2", b.conv2, (b.conv1.out_ch, *b.conv1.out_hw(h, w))
+        if b.downsample is not None:
+            yield f"block{i}.down", b.downsample, (c, h, w)
+
+
+def _shift_sites(spec: NetworkSpec):
+    """(block index, ShiftSpec, input (C, H, W)) for every block that shifts."""
+    for i, (b, shape) in enumerate(zip(spec.blocks, spec.stage_shapes())):
+        if b.placement != PLACEMENT_NONE:
+            yield i, b.shift, shape
+
+
 def weight_shapes(spec: NetworkSpec) -> dict[str, tuple[int, ...]]:
     """Expected store entries, in network order."""
     shapes: dict[str, tuple[int, ...]] = {}
-
-    def conv_entry(name: str, c: ConvSpec) -> None:
+    for name, c, _ in _conv_layers(spec):
         shapes[name + ".w"] = (c.out_ch, c.in_ch, c.kernel, c.kernel)
         shapes[name + ".b"] = (c.out_ch,)
-
-    conv_entry("stem", spec.stem)
-    for i, b in enumerate(spec.blocks):
-        conv_entry(f"block{i}.conv1", b.conv1)
-        conv_entry(f"block{i}.conv2", b.conv2)
-        if b.downsample is not None:
-            conv_entry(f"block{i}.down", b.downsample)
     head = spec.head_spec()
     shapes["head.w"] = (head.out_features, head.in_features)
     shapes["head.b"] = (head.out_features,)
@@ -389,23 +398,18 @@ def forward_offline(clip: Tensor, spec: NetworkSpec, store: dict) -> Tensor:
     return Tensor(logits, ("N", "T", "C"))
 
 
-def consensus_average(logits):
-    """Mean of per-frame logits over T, exactly invariant to frame order.
+def consensus_average(logits: np.ndarray) -> np.ndarray:
+    """Mean of (N, T, K) per-frame logits over T, exactly invariant to frame order.
 
     Each (clip, class) lane is summed in float64 over value-sorted frames,
     so any permutation of the T axis yields bit-identical output.
-    Accepts an (N, T, K) Tensor or array and returns the matching kind.
     """
-    is_tensor = isinstance(logits, Tensor)
-    a = logits.data if is_tensor else np.asarray(logits)
+    a = np.asarray(logits)
     if a.ndim != 3:
         raise InvalidShape(f"logits must be (N, T, K), got shape {a.shape}")
     ordered = np.sort(a.astype(np.float64), axis=1)
     mean = ordered.sum(axis=1) / a.shape[1]
-    out = mean.astype(a.dtype if a.dtype == np.float64 else np.float32)
-    if is_tensor:
-        return Tensor(out, ("N", "C"))
-    return out
+    return mean.astype(a.dtype if a.dtype == np.float64 else np.float32)
 
 
 # --- cost accounting ---
@@ -418,28 +422,11 @@ def count_network(spec: NetworkSpec) -> NetworkCost:
     whenever declared, independent of placement, so toggling placements
     never changes the totals.
     """
-    shapes = spec.stage_shapes()
-    macs = macs_of(spec.stem, (spec.in_channels, spec.height, spec.width))
-    params = params_of(spec.stem)
-    cur = shapes[0]
-    for i, b in enumerate(spec.blocks):
-        c, h, w = cur
-        if b.shift is not None:
-            macs += macs_of(b.shift, (c, h, w))
-            params += params_of(b.shift)
-        macs += macs_of(b.conv1, (c, h, w))
-        params += params_of(b.conv1)
-        h1, w1 = b.conv1.out_hw(h, w)
-        macs += macs_of(b.conv2, (b.conv1.out_ch, h1, w1))
-        params += params_of(b.conv2)
-        if b.downsample is not None:
-            macs += macs_of(b.downsample, (c, h, w))
-            params += params_of(b.downsample)
-        cur = shapes[i + 1]
     head = spec.head_spec()
-    macs += macs_of(head, (head.in_features,))
-    params += params_of(head)
-    return NetworkCost(macs_per_frame=macs, params=params)
+    layers = [(c, shape) for _, c, shape in _conv_layers(spec)]
+    layers.append((head, (head.in_features,)))
+    return NetworkCost(macs_per_frame=sum(macs_of(layer, shape) for layer, shape in layers),
+                       params=sum(params_of(layer) for layer, _ in layers))
 
 
 # --- weight file format ---

@@ -6,7 +6,7 @@ float64 shadow path used by gradient checks share one implementation.
 
 Convolution builds one frame-major column matrix per call, shape
 (N, C*K*K, Ho*Wo): row (c, kh, kw) of frame n is input plane c read at
-kernel tap (kh, kw), filled by K*K strided copies from the zero-padded
+kernel tap (kh, kw), copied once from one strided view of the zero-padded
 NCHW input. One (C_out, C*K*K) @ (C*K*K, Ho*Wo) GEMM per frame then writes
 the output in NCHW directly, so activations never leave NCHW. Each frame's
 result is bit-identical whatever its batch position or batch size, and
@@ -21,6 +21,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import InvalidShape, InvalidSpec
 from .shift import ShiftSpec
@@ -146,7 +147,8 @@ def _im2col(x: np.ndarray, k: int, stride: int, pad: int, ho: int, wo: int) -> n
     """(N, C, H, W) -> frame-major patch columns (N, C*K*K, Ho*Wo).
 
     Row (c, kh, kw) of frame n holds that input plane read at kernel tap
-    (kh, kw); each tap is one strided copy whose inner runs are Wo long.
+    (kh, kw): one strided view over all taps of the padded input, copied
+    once, so the columns never alias the input (a 1x1 unpadded view would).
     """
     n, c, h, w = x.shape
     if pad:
@@ -154,12 +156,10 @@ def _im2col(x: np.ndarray, k: int, stride: int, pad: int, ho: int, wo: int) -> n
         xp[:, :, pad : pad + h, pad : pad + w] = x
     else:
         xp = x
-    cols = np.empty((n, c, k, k, ho, wo), dtype=x.dtype)
-    for kh in range(k):
-        for kw in range(k):
-            cols[:, :, kh, kw] = xp[:, :, kh : kh + stride * (ho - 1) + 1 : stride,
-                                    kw : kw + stride * (wo - 1) + 1 : stride]
-    return cols.reshape(n, c * k * k, ho * wo)
+    sh, sw = xp.strides[2:]
+    taps = as_strided(xp, shape=(n, c, k, k, ho, wo),
+                      strides=xp.strides + (stride * sh, stride * sw), writeable=False)
+    return taps.copy().reshape(n, c * k * k, ho * wo)
 
 
 def _conv_forward_cols(x: np.ndarray, p: Conv2dParams):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CacheMismatch, InvalidShape, InvalidSpec
-from .net import NetworkSpec, PLACEMENT_NONE, forward_walk
+from .net import NetworkSpec, PLACEMENT_NONE, _shift_sites, forward_walk
 from .shift import MODE_UNI, PAD_ZERO, ShiftCache, ShiftSpec, shift_online_step
 from .tensor import FRAME_AXES, Tensor, _require_axes
 
@@ -71,11 +71,6 @@ def uni_network_spec(spec: NetworkSpec) -> NetworkSpec:
     return dataclasses.replace(spec, blocks=tuple(blocks))
 
 
-def _shift_blocks(spec: NetworkSpec):
-    """(block index, block) for every block that shifts, in order."""
-    return [(i, b) for i, b in enumerate(spec.blocks) if b.placement != PLACEMENT_NONE]
-
-
 def stream_init(spec: NetworkSpec, batch: int = 1,
                 window: int | None = None) -> StreamState:
     """Zeroed caches sized from shape inference; strict about modes.
@@ -88,17 +83,14 @@ def stream_init(spec: NetworkSpec, batch: int = 1,
         raise InvalidSpec(f"batch must be >= 1, got {batch}")
     if window is not None and window < 1:
         raise InvalidSpec(f"window must be >= 1, got {window}")
-    for i, b in _shift_blocks(spec):
-        if b.shift.mode != MODE_UNI:
+    sites = list(_shift_sites(spec))
+    for i, s, _ in sites:
+        if s.mode != MODE_UNI:
             raise InvalidSpec(
                 f"block {i} shift is bi-directional; streaming needs "
                 "uni-directional shifts (convert with uni_network_spec)"
             )
-    shapes = spec.stage_shapes()
-    caches = [
-        ShiftCache.for_stream(batch, b.shift.n_fwd, shapes[i][1], shapes[i][2])
-        for i, b in _shift_blocks(spec)
-    ]
+    caches = [ShiftCache.for_stream(batch, s.n_fwd, h, w) for _, s, (_, h, w) in sites]
     running = np.zeros((batch, spec.num_classes), dtype=np.float64)
     return StreamState(caches=caches, running_sum=running, window=window)
 
@@ -133,7 +125,7 @@ def stream_step(frame: Tensor, spec: NetworkSpec, store: dict,
         raise CacheMismatch(
             f"state built for batch {state.running_sum.shape[0]}, frame has {n}"
         )
-    expected = len(_shift_blocks(spec))
+    expected = len(list(_shift_sites(spec)))
     if len(state.caches) != expected:
         raise CacheMismatch(
             f"state has {len(state.caches)} caches, spec needs {expected}"
@@ -166,12 +158,7 @@ def stream_step(frame: Tensor, spec: NetworkSpec, store: dict,
 
 def cache_footprint_bytes(spec: NetworkSpec, batch: int = 1) -> int:
     """Exact cache memory: sum of n_fwd * N * H * W * 4 over shift blocks."""
-    shapes = spec.stage_shapes()
-    total = 0
-    for i, b in _shift_blocks(spec):
-        _, h, w = shapes[i]
-        total += b.shift.n_fwd * batch * h * w * 4
-    return total
+    return sum(s.n_fwd * batch * h * w * 4 for _, s, (_, h, w) in _shift_sites(spec))
 
 
 def state_nbytes(state: StreamState) -> int:

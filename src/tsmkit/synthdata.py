@@ -9,7 +9,7 @@ model can do no better than chance.
 Two details matter for learnability and are part of the data contract:
 
 * Pixel values are standardized in closed form. Every frame contains
-  exactly square**2 bright pixels, so the per-frame mean and variance are
+  exactly SQUARE**2 bright pixels, so the per-frame mean and variance are
   the same known constants for all clips; the two pixel values are chosen
   to give each frame zero mean and unit variance. Raw 0/1 frames leave the
   direction signal orders of magnitude below the DC term and SGD stalls.
@@ -41,50 +41,49 @@ class SyntheticClip:
     start_col: int
 
 
-def pixel_values(h: int, w: int, square: int = SQUARE) -> tuple[float, float]:
+def pixel_values(h: int, w: int) -> tuple[float, float]:
     """(background, square) pixel values that standardize every frame.
 
-    A frame holds square**2 ones on zeros, so its mean is
-    p = square**2 / (h * w) and its variance p * (1 - p) exactly; shifting
+    A frame holds SQUARE**2 ones on zeros, so its mean is
+    p = SQUARE**2 / (h * w) and its variance p * (1 - p) exactly; shifting
     by -p and dividing by the standard deviation gives zero mean and unit
     variance per frame.
     """
-    p = square * square / (h * w)
+    p = SQUARE * SQUARE / (h * w)
     sigma = float(np.sqrt(p * (1.0 - p)))
     return -p / sigma, (1.0 - p) / sigma
 
 
 def make_clip(t: int, h: int, w: int, start_row: int, start_col: int,
-              label: int, square: int = SQUARE) -> SyntheticClip:
+              label: int) -> SyntheticClip:
     """One clip with the square at (start_row, start_col) in frame 0."""
     if label not in (LABEL_LEFT, LABEL_RIGHT):
         raise InvalidSpec(f"label must be 0 or 1, got {label}")
     step = 1 if label == LABEL_RIGHT else -1
-    lo, hi = pixel_values(h, w, square)
+    lo, hi = pixel_values(h, w)
     data = np.full((1, t, 1, h, w), lo, dtype=np.float32)
     for frame in range(t):
         col = start_col + step * frame
-        if not (0 <= start_row <= h - square and 0 <= col <= w - square):
+        if not (0 <= start_row <= h - SQUARE and 0 <= col <= w - SQUARE):
             raise InvalidSpec(
                 f"square leaves the frame at t={frame} "
                 f"(row {start_row}, col {col}, {h}x{w})"
             )
-        data[0, frame, 0, start_row:start_row + square, col:col + square] = hi
+        data[0, frame, 0, start_row:start_row + SQUARE, col:col + SQUARE] = hi
     return SyntheticClip(clip=Tensor(data, ACTIVATION_AXES), label=label,
                          start_row=start_row, start_col=start_col)
 
 
-def check_geometry(t: int, h: int, w: int, square: int = SQUARE) -> None:
+def check_geometry(t: int, h: int, w: int) -> None:
     if t < 2:
         raise InvalidSpec(f"need at least 2 frames to show motion, got {t}")
-    if h < square + t or w < square + t:
+    if h < SQUARE + t or w < SQUARE + t:
         raise InvalidSpec(
-            f"{h}x{w} frames cannot hold a {square}px square moving {t} steps"
+            f"{h}x{w} frames cannot hold a {SQUARE}px square moving {t} steps"
         )
 
 
-def gen_dataset(seed: int, count: int, t: int, h: int, w: int,
-                square: int = SQUARE) -> list[SyntheticClip]:
+def gen_dataset(seed: int, count: int, t: int, h: int, w: int) -> list[SyntheticClip]:
     """count clips, half leftward, half rightward, deterministic in seed.
 
     Built as reversal pairs: a rightward clip is generated, then its exact
@@ -93,15 +92,15 @@ def gen_dataset(seed: int, count: int, t: int, h: int, w: int,
     each pair), so pair-aware batching downstream can rely on positions
     (2i, 2i + 1) holding a reversal pair.
     """
-    check_geometry(t, h, w, square)
+    check_geometry(t, h, w)
     if count < 2 or count % 2 != 0:
         raise InvalidSpec(f"count must be even and positive, got {count}")
     rng = np.random.default_rng(seed)
     pairs: list[tuple[SyntheticClip, SyntheticClip]] = []
     for _ in range(count // 2):
-        row = int(rng.integers(0, h - square + 1))
-        col = int(rng.integers(0, w - square - t + 2))
-        right = make_clip(t, h, w, row, col, LABEL_RIGHT, square)
+        row = int(rng.integers(0, h - SQUARE + 1))
+        col = int(rng.integers(0, w - SQUARE - t + 2))
+        right = make_clip(t, h, w, row, col, LABEL_RIGHT)
         left = SyntheticClip(
             clip=reverse_time(right.clip),
             label=LABEL_LEFT,

@@ -233,6 +233,37 @@ def test_infer_online_rejects_non_finite(uni_fixture, tmp_path, capsys, where):
     assert not out.exists()
 
 
+def _drop_head_bias(store):
+    return {k: v for k, v in store.items() if k != "head.b"}
+
+
+def _three_class_head(store):
+    out = dict(store)
+    out["head.w"] = np.zeros((3,) + store["head.w"].shape[1:], dtype=np.float32)
+    out["head.b"] = np.zeros(3, dtype=np.float32)
+    return out
+
+
+def _stray_entry(store):
+    return {**store, "extra": np.zeros(2, dtype=np.float32)}
+
+
+@pytest.mark.parametrize("mangle", [_drop_head_bias, _three_class_head, _stray_entry])
+def test_infer_online_checks_weights_against_spec(uni_fixture, tmp_path, capsys, mangle):
+    root, _, store, clip = uni_fixture
+    weights = tmp_path / "bad.tsmw"
+    save_weights(mangle(store), weights)
+    frames = tmp_path / "frames"
+    _write_frames(clip, frames)
+    out = tmp_path / "out"
+    assert cli.main([
+        "infer-online", "--spec", str(root / "net.json"),
+        "--weights", str(weights), "--frames-dir", str(frames), "--out", str(out),
+    ]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_bench_shift_writes_header(tmp_path, capsys):
     csv_path = tmp_path / "b.csv"
     code = cli.main([

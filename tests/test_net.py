@@ -26,7 +26,7 @@ from tsmkit.net import (
 )
 from tsmkit.ops import Conv2dParams, ConvSpec, conv2d_forward, relu_forward
 from tsmkit.shift import ShiftSpec, shift_offline
-from tsmkit.tensor import Tensor, activation
+from tsmkit.tensor import activation
 
 from helpers import random_network_spec
 
@@ -266,13 +266,6 @@ def test_consensus_examples():
     np.testing.assert_array_equal(consensus_average(two), [[2.0, 2.0]])
     with pytest.raises(InvalidShape):
         consensus_average(np.zeros((2, 4), dtype=np.float32))
-
-
-def test_consensus_tensor_in_tensor_out():
-    logits = Tensor(np.ones((2, 3, 4), dtype=np.float32), ("N", "T", "C"))
-    out = consensus_average(logits)
-    assert isinstance(out, Tensor) and out.labels == ("N", "C")
-    np.testing.assert_array_equal(out.data, np.ones((2, 4), dtype=np.float32))
 
 
 @settings(max_examples=60, deadline=None)

@@ -90,6 +90,20 @@ def test_conv_matches_direct_loop_randomized():
             conv2d_forward(np.concatenate([x, x]), p), np.concatenate([got, got]))
         for i in range(n):
             np.testing.assert_array_equal(conv2d_forward(x[i : i + 1], p), got[i : i + 1])
+    # gather edge cases: a 1x1, stride-1, unpadded conv (its tap view is the
+    # input itself), up to 8 input channels, and sliced and time-reversed
+    # inputs; the columns never alias the input
+    for c_in, k, stride, pad in [(3, 1, 1, 0), (8, 1, 1, 0), (8, 3, 1, 1),
+                                 (6, 3, 2, 0), (8, 2, 3, 2), (5, 1, 2, 0)]:
+        x = rng.uniform(-1, 1, size=(3, c_in, 7, 6)).astype(np.float32)
+        p = rand_conv(rng, c_in, 2, k, stride=stride, pad=pad)
+        for view in (x, x[:, :, 1:, ::2], x[::-1]):
+            got, cols = _conv_forward_cols(view, p)
+            assert not np.shares_memory(cols, view)
+            want = conv2d_direct(view, p.weights, p.bias, stride=stride, pad=pad)
+            assert np.max(np.abs(got - want)) <= 1e-5
+            np.testing.assert_array_equal(
+                got, conv2d_forward(np.ascontiguousarray(view), p))
 
 
 def test_conv_shape_errors():

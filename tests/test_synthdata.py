@@ -19,7 +19,7 @@ from tsmkit.tensor import reverse_time
 
 
 def test_pixel_values_closed_form():
-    lo, hi = pixel_values(16, 16, square=2)
+    lo, hi = pixel_values(16, 16)
     p = 4 / 256
     sigma = np.sqrt(p * (1 - p))
     assert lo == pytest.approx(-p / sigma)

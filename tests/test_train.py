@@ -1,6 +1,7 @@
 """Trainer mechanics on miniature configs; the long demo lives in acceptance."""
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -234,3 +235,11 @@ def test_config_validation():
                 {"learning_rate": True}):
         with pytest.raises(InvalidSpec):
             TrainConfig(**bad)
+
+
+def test_train_module_is_not_shadowed():
+    # the package root re-exports no function named train, so the
+    # submodule attribute stays the module
+    import tsmkit.train as m
+    assert isinstance(m, types.ModuleType)
+    assert m.EVAL_CHUNK >= 1
