@@ -62,7 +62,6 @@ from .tensor import (
     ACTIVATION_AXES,
     FRAME_AXES,
     Tensor,
-    activation,
     load_tensor,
     reverse_time,
     save_tensor,

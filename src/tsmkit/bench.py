@@ -4,7 +4,8 @@ Shifting multiplies nothing, so its entire runtime cost is memory traffic.
 bench_shift times the in-place shift over one pre-allocated buffer at a
 range of shifted-channel fractions against the fraction-0 pass of the same
 buffer; bench_network times whole forward passes with shifts enabled
-versus disabled. Medians over many reps of a monotonic clock, never means.
+versus moving no channel. Medians over many reps of a monotonic clock,
+never means.
 """
 
 from __future__ import annotations
@@ -12,14 +13,14 @@ from __future__ import annotations
 import csv
 import io
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import InvalidSpec
 from .net import (NetworkSpec, _shift_sites, forward_offline_array, init_weights,
-                  with_placements_none)
+                  with_zero_shifts)
 from .shift import ShiftSpec, bytes_moved, shift_inplace, spec_from_total_fraction
 from .tensor import Tensor, ACTIVATION_AXES
 
@@ -84,21 +85,37 @@ def _check_reps(reps: int) -> None:
         raise InvalidSpec(f"need at least {MIN_REPS} reps, got {reps}")
 
 
+def _timed_rows(cases, shape, reps: int, warmup: int) -> list[BenchRow]:
+    """One BenchRow per (label, runner, n_fwd, n_bwd, bytes_moved) case.
+
+    The runners are timed round-robin by _measure_ns; the first one is the
+    baseline every row's overhead is measured against. ``shape`` is the
+    (N, C, T, H, W) every row reports.
+    """
+    stats = _measure_ns([case[1] for case in cases], reps, warmup)
+    base = stats[0][0]
+    return [
+        BenchRow(label, *shape, n_fwd, n_bwd, moved, med, p10, p90, reps,
+                 base, 100.0 * (med - base) / max(base, 1))
+        for (label, _, n_fwd, n_bwd, moved), (med, p10, p90) in zip(cases, stats)
+    ]
+
+
 def bench_shift(shape, fractions, reps: int = 50, warmup: int = 3,
                 seed: int = 0) -> CostReport:
     """Time the in-place shift on one (N,C,T,H,W) buffer per fraction.
 
     Each fraction is the total shifted proportion of channels, split
-    evenly between directions. The baseline is the measured fraction-0
-    pass over the same buffer; if 0 is among the requested fractions its
-    row reuses that measurement, making its overhead exactly zero.
+    evenly between directions. The baseline is the fraction-0 pass over
+    the same buffer, always measured first; it is reported only if 0 is
+    among the requested fractions, its overhead then exactly zero.
     """
     _check_reps(reps)
     if len(shape) != 5 or min(shape) < 1:
         raise InvalidSpec(f"shape must be 5 positive extents (N,C,T,H,W), got {shape}")
-    n, c, t, h, w = (int(v) for v in shape)
-    fractions = [Fraction(f) for f in fractions]
-    specs = {f: spec_from_total_fraction(c, f) for f in fractions}
+    n, c, t, h, w = shape = tuple(int(v) for v in shape)
+    asked = {Fraction(f) for f in fractions}
+    ordered = sorted(asked | {Fraction(0)})
 
     rng = np.random.default_rng(seed)
     buf = Tensor(rng.standard_normal((n, t, c, h, w)).astype(np.float32),
@@ -110,46 +127,24 @@ def bench_shift(shape, fractions, reps: int = 50, warmup: int = 3,
             return float(buf.data[0, 0, 0, 0, 0])
         return run
 
-    ordered = sorted(set(fractions))
-    timed = [f for f in ordered if f != 0]
-    stats = _measure_ns(
-        [runner(ShiftSpec(0, 0))] + [runner(specs[f]) for f in timed],
-        reps, warmup)
-    base_med, base_p10, base_p90 = stats[0]
-    by_fraction = dict(zip(timed, stats[1:]))
-    baseline = max(base_med, 1)
-
-    rows = []
-    for f in ordered:
-        spec = specs[f]
-        if f == 0:
-            med, p10, p90 = base_med, base_p10, base_p90
-        else:
-            med, p10, p90 = by_fraction[f]
-        rows.append(BenchRow(
-            label=str(f), n=n, c=c, t=t, h=h, w=w,
-            n_fwd=spec.n_fwd, n_bwd=spec.n_bwd,
-            bytes_moved=bytes_moved(spec, (n, c, t, h, w)),
-            median_ns=med, p10_ns=p10, p90_ns=p90, reps=reps,
-            baseline_ns=base_med,
-            overhead_pct=100.0 * (med - base_med) / baseline,
-        ))
-    return CostReport(rows=rows)
+    specs = [spec_from_total_fraction(c, f) for f in ordered]
+    rows = _timed_rows(
+        [(str(f), runner(s), s.n_fwd, s.n_bwd, bytes_moved(s, shape))
+         for f, s in zip(ordered, specs)],
+        shape, reps, warmup)
+    return CostReport(rows=[r for f, r in zip(ordered, rows) if f in asked])
 
 
 def bench_network(spec: NetworkSpec, reps: int = MIN_REPS, warmup: int = 3,
                   seed: int = 0) -> CostReport:
-    """Forward passes with shifts enabled vs all placements disabled.
+    """Forward passes with shifts enabled vs every shift moving no channel.
 
-    Same weights both ways; the disabled pass (net.with_placements_none,
-    the TSN control) is the baseline. That control drops the skip path and
-    its 1x1 downsample along with the shift, so on residual networks the
-    measured overhead includes the residual adds and the downsample convs,
-    not the shift alone.
+    Same weights both ways. The baseline is net.with_zero_shifts, the TSN
+    control: the same network, skip paths and downsamples included, with
+    the shift taken out, so the overhead is the shift's alone.
     """
     _check_reps(reps)
     store = init_weights(spec, seed=seed)
-    plain = with_placements_none(spec)
     rng = np.random.default_rng(seed)
     clip = rng.standard_normal(
         (1, spec.frames, spec.in_channels, spec.height, spec.width)
@@ -161,26 +156,14 @@ def bench_network(spec: NetworkSpec, reps: int = MIN_REPS, warmup: int = 3,
             return float(out[0, 0, 0])
         return run
 
-    (base_med, base_p10, base_p90), (med, p10, p90) = _measure_ns(
-        [runner(plain), runner(spec)], reps, warmup)
-    baseline = max(base_med, 1)
-
     sites = list(_shift_sites(spec))
     moved = sum(bytes_moved(s, (1, c, spec.frames, h, w)) for _, s, (c, h, w) in sites)
     n_fwd = sum(s.n_fwd for _, s, _ in sites)
     n_bwd = sum(s.n_bwd for _, s, _ in sites)
-
-    common = dict(n=1, c=spec.in_channels, t=spec.frames,
-                  h=spec.height, w=spec.width, reps=reps,
-                  baseline_ns=base_med)
-    return CostReport(rows=[
-        BenchRow(label="plain", n_fwd=0, n_bwd=0, bytes_moved=0,
-                 median_ns=base_med, p10_ns=base_p10, p90_ns=base_p90,
-                 overhead_pct=0.0, **common),
-        BenchRow(label="tsm", n_fwd=n_fwd, n_bwd=n_bwd, bytes_moved=moved,
-                 median_ns=med, p10_ns=p10, p90_ns=p90,
-                 overhead_pct=100.0 * (med - base_med) / baseline, **common),
-    ])
+    return CostReport(rows=_timed_rows(
+        [("plain", runner(with_zero_shifts(spec)), 0, 0, 0),
+         ("tsm", runner(spec), n_fwd, n_bwd, moved)],
+        (1, spec.in_channels, spec.frames, spec.height, spec.width), reps, warmup))
 
 
 def rows_to_csv(report: CostReport) -> str:
@@ -189,11 +172,7 @@ def rows_to_csv(report: CostReport) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER.split(","))
     for r in report.rows:
-        writer.writerow([
-            r.label, r.n, r.c, r.t, r.h, r.w, r.n_fwd, r.n_bwd,
-            r.bytes_moved, r.median_ns, r.p10_ns, r.p90_ns, r.reps,
-            r.baseline_ns, f"{r.overhead_pct:.6g}",
-        ])
+        writer.writerow(astuple(r)[:-1] + (f"{r.overhead_pct:.6g}",))
     return out.getvalue()
 
 

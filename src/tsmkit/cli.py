@@ -98,52 +98,40 @@ def _random_case(rng: np.random.Generator):
 def cmd_shift_check(args) -> int:
     cases = _positive(args.cases, "--cases")
     rng = np.random.default_rng(args.seed)
-    failures = 0
 
-    def report(name: str, bad: int) -> None:
-        nonlocal failures
-        failures += bad
-        state = "PASS" if bad == 0 else f"FAIL ({bad}/{cases} cases)"
-        print(f"{state}  {name}")
+    def matches_naive(x, spec):
+        return np.array_equal(shift_offline(x, spec).data,
+                              shift_offline_naive(x, spec).data)
 
-    bad = 0
-    for _ in range(cases):
-        x, spec = _random_case(rng)
-        if not np.array_equal(shift_offline(x, spec).data,
-                              shift_offline_naive(x, spec).data):
-            bad += 1
-    report("vectorized shift matches per-element reference, bit-exact", bad)
-
-    bad = 0
-    for _ in range(cases):
-        x, spec = _random_case(rng)
+    def adjoint(x, spec):
         a = x.data.astype(np.float64)
         b = rng.standard_normal(a.shape)
         lhs = float(np.vdot(_shift_array(a, spec), b))
         rhs = float(np.vdot(a, _shift_array(b, spec, -1)))
-        if abs(lhs - rhs) > 1e-10 * max(1.0, abs(lhs)):
-            bad += 1
-    report("adjoint identity <Sx, y> == <x, S*y> within 1e-10", bad)
+        return not abs(lhs - rhs) > 1e-10 * max(1.0, abs(lhs))
 
-    bad = 0
-    for _ in range(cases):
-        x, spec = _random_case(rng)
+    def zero_is_identity(x, spec):
         zero = ShiftSpec(n_fwd=0, n_bwd=0, padding=spec.padding, mode=spec.mode)
-        if shift_offline(x, zero).data is not x.data:
-            bad += 1
-    report("zero-channel shift returns its input unchanged", bad)
+        return shift_offline(x, zero).data is x.data
 
-    bad = 0
-    for _ in range(cases):
-        x, spec = _random_case(rng)
-        if spec.padding != "zero":
-            spec = ShiftSpec(spec.n_fwd, spec.n_bwd, "zero", spec.mode)
+    def reversal_conjugates(x, spec):
         # with zero padding the direction-swapped shift is the adjoint
+        spec = ShiftSpec(spec.n_fwd, spec.n_bwd, "zero", spec.mode)
         via_reversal = reverse_time(shift_offline(reverse_time(x), spec))
-        if not np.array_equal(via_reversal.data, shift_adjoint(x, spec).data):
-            bad += 1
-    report("time reversal conjugates the shift into its direction swap", bad)
+        return np.array_equal(via_reversal.data, shift_adjoint(x, spec).data)
 
+    failures = 0
+    for name, holds in (
+        ("vectorized shift matches per-element reference, bit-exact", matches_naive),
+        ("adjoint identity <Sx, y> == <x, S*y> within 1e-10", adjoint),
+        ("zero-channel shift returns its input unchanged", zero_is_identity),
+        ("time reversal conjugates the shift into its direction swap",
+         reversal_conjugates),
+    ):
+        bad = sum(not holds(*_random_case(rng)) for _ in range(cases))
+        failures += bad
+        state = "PASS" if bad == 0 else f"FAIL ({bad}/{cases} cases)"
+        print(f"{state}  {name}")
     return 3 if failures else 0
 
 

@@ -152,7 +152,11 @@ class NetworkCost:
 
 
 def with_zero_shifts(spec: NetworkSpec) -> NetworkSpec:
-    """Same network with every shift degenerated to the identity."""
+    """Same network with every shift degenerated to the identity.
+
+    bench_network's TSN control: skip paths and downsamples stay, and a
+    zero-channel shift is copy-free, so it costs what TSN-with-skip costs.
+    """
     blocks = tuple(
         b if b.shift is None
         else dataclasses.replace(

@@ -108,7 +108,12 @@ def _shift_groups(buf: np.ndarray, spec: ShiftSpec, direction: int) -> None:
 
 
 def _shift_array(a: np.ndarray, spec: ShiftSpec, direction: int = 1) -> np.ndarray:
-    """Shift an (N, T, C, H, W) array out-of-place; dtype preserved."""
+    """Shift an (N, T, C, H, W) array out-of-place; dtype preserved.
+
+    A spec that moves no channel returns ``a`` itself, copy-free.
+    """
+    if spec.n_fwd == 0 and spec.n_bwd == 0:
+        return a
     out = a.copy()
     _shift_groups(out, spec, direction)
     return out

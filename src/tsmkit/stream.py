@@ -131,13 +131,18 @@ def stream_step(frame: Tensor, spec: NetworkSpec, store: dict,
             f"state has {len(state.caches)} caches, spec needs {expected}"
         )
 
-    caches = iter(state.caches)
+    # shift against copies of the cache wrappers and commit their slabs only
+    # once the whole walk succeeds, so a step that raises leaves state as it was
+    fresh = [ShiftCache(cache.slab) for cache in state.caches]
+    caches = iter(fresh)
 
     def online_shift(a, shift):
         shifted, _ = shift_online_step(Tensor(a[:, 0], FRAME_AXES), shift, next(caches))
         return shifted.data[:, None]
 
     logits = forward_walk(frame.data[:, None], spec, store, online_shift)[:, 0]
+    for cache, new in zip(state.caches, fresh):
+        cache.slab = new.slab
 
     kept = logits.astype(np.float64)
     state.frames_seen += 1

@@ -60,11 +60,6 @@ def _require_axes(x: Tensor, axes: tuple[str, ...], what: str) -> None:
         raise InvalidShape(f"{what} requires axes {axes}, got {x.labels}")
 
 
-def activation(data) -> Tensor:
-    """Wrap an (N, T, C, H, W) array as an Activation tensor."""
-    return Tensor(data, ACTIVATION_AXES)
-
-
 def reverse_time(x: Tensor) -> Tensor:
     """out[n, t] = x[n, T-1-t]; an involution, bit-exact."""
     _require_axes(x, ACTIVATION_AXES, "reverse_time")

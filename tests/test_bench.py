@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 from fractions import Fraction
 
@@ -13,9 +14,9 @@ from tsmkit.bench import (
     write_csv,
 )
 from tsmkit.errors import InvalidSpec
-from tsmkit.net import BlockSpec, NetworkSpec
-from tsmkit.ops import ConvSpec
-from tsmkit.shift import ShiftSpec, bytes_moved, spec_from_total_fraction
+from tsmkit.net import BlockSpec, NetworkSpec, forward_offline_array, init_weights
+from tsmkit.ops import ConvSpec, count_macs
+from tsmkit.shift import ShiftSpec, _shift_array, bytes_moved, spec_from_total_fraction
 
 SMALL = (1, 8, 4, 6, 6)
 FRACTIONS = ("0", "1/4", "1")
@@ -105,6 +106,30 @@ def test_bench_network_rows():
     assert tsm.bytes_moved == 2 * bytes_moved(ShiftSpec(1, 1), (1, 8, 4, 12, 12))
     with pytest.raises(InvalidSpec):
         bench_network(spec, reps=5)
+
+
+def test_bench_network_control_keeps_skip_path():
+    # the control is the same network with zero-channel shifts, so it runs
+    # the residual adds and the 1x1 downsample too: both sides of every
+    # warmup and timed pass cost the TSM clip's MACs
+    down = BlockSpec(ConvSpec(8, 6, 3, pad=1), ConvSpec(6, 6, 3, pad=1),
+                     placement="residual", shift=ShiftSpec(1, 1),
+                     downsample=ConvSpec(8, 6, 1))
+    spec = bench_spec()
+    spec = dataclasses.replace(spec, blocks=(spec.blocks[0], down))
+    clip = np.zeros((1, spec.frames, spec.in_channels, spec.height, spec.width),
+                    dtype=np.float32)
+    with count_macs() as one:
+        forward_offline_array(clip, spec, init_weights(spec))
+    with count_macs() as bench:
+        bench_network(spec, reps=20, warmup=1)
+    assert bench.total == 2 * 21 * one.total
+
+
+def test_zero_channel_shift_array_is_copy_free():
+    a = np.ones((1, 3, 4, 2, 2), dtype=np.float32)
+    assert _shift_array(a, ShiftSpec(0, 0)) is a
+    assert _shift_array(a, ShiftSpec(0, 0), -1) is a
 
 
 def test_bench_network_self_comparison_near_zero():

@@ -26,7 +26,7 @@ from tsmkit.net import (
 )
 from tsmkit.ops import Conv2dParams, ConvSpec, conv2d_forward, relu_forward
 from tsmkit.shift import ShiftSpec, shift_offline
-from tsmkit.tensor import activation
+from tsmkit.tensor import ACTIVATION_AXES, Tensor
 
 from helpers import random_network_spec
 
@@ -141,7 +141,7 @@ def test_block_forward_matches_hand_composition(placement):
     shift = ShiftSpec(1, 1) if placement != "none" else None
     b = simple_block(placement=placement, shift=shift, c=4)
     store = block_store(rng, b)
-    x = activation(rng.uniform(-1, 1, size=(2, 4, 4, 5, 5)).astype(np.float32))
+    x = Tensor(rng.uniform(-1, 1, size=(2, 4, 4, 5, 5)).astype(np.float32), ACTIVATION_AXES)
     got = block_forward_array(x.data, b, store, "block0")
     np.testing.assert_array_equal(got, hand_block(x, b, store))
 
@@ -150,7 +150,7 @@ def test_block_identity_shift_collapses_to_plain_residual():
     rng = np.random.default_rng(21)
     b_zero = simple_block(placement="residual", shift=ShiftSpec(0, 0), c=4)
     store = block_store(rng, b_zero)
-    x = activation(rng.uniform(-1, 1, size=(1, 4, 4, 5, 5)).astype(np.float32))
+    x = Tensor(rng.uniform(-1, 1, size=(1, 4, 4, 5, 5)).astype(np.float32), ACTIVATION_AXES)
     got = block_forward_array(x.data, b_zero, store, "block0")
     # same thing assembled without any shift in the path
     b_plain = simple_block(placement="none", c=4)
@@ -165,7 +165,7 @@ def test_block_zero_branch_preserves_input():
         store[key + ".w"] = np.zeros((4, 4, 3, 3), dtype=np.float32)
         store[key + ".b"] = np.zeros(4, dtype=np.float32)
     rng = np.random.default_rng(22)
-    x = activation(rng.uniform(-1, 1, size=(1, 3, 4, 5, 5)).astype(np.float32))
+    x = Tensor(rng.uniform(-1, 1, size=(1, 3, 4, 5, 5)).astype(np.float32), ACTIVATION_AXES)
     y = block_forward_array(x.data, b, store, "block0")
     np.testing.assert_array_equal(y, x.data)
 
@@ -174,7 +174,7 @@ def test_block_shape_mismatch_raises():
     rng = np.random.default_rng(23)
     b = simple_block(c=4)
     store = block_store(rng, b)
-    x = activation(np.zeros((1, 2, 8, 5, 5), dtype=np.float32))
+    x = Tensor(np.zeros((1, 2, 8, 5, 5), dtype=np.float32), ACTIVATION_AXES)
     with pytest.raises(InvalidShape):
         block_forward_array(x.data, b, store, "block0")
 
@@ -186,7 +186,7 @@ def test_forward_single_frame_zero_padding_finite():
     rng = np.random.default_rng(24)
     spec = tiny_spec([simple_block(placement="residual", shift=ShiftSpec(1, 1))], t=1)
     w = rand_store(spec)
-    clip = activation(rng.uniform(-1, 1, size=(2, 1, 1, 6, 6)).astype(np.float32))
+    clip = Tensor(rng.uniform(-1, 1, size=(2, 1, 1, 6, 6)).astype(np.float32), ACTIVATION_AXES)
     out = forward_offline(clip, spec, w)
     assert out.extents == (2, 1, 2)
     assert np.isfinite(out.data).all()
@@ -196,7 +196,8 @@ def test_forward_single_frame_zero_padding_finite():
 def test_forward_shape_mismatch():
     spec = tiny_spec([simple_block()])
     w = rand_store(spec)
-    clip = activation(np.zeros((1, 3, 1, 6, 6), dtype=np.float32))  # T=3, spec wants 4
+    # T=3, spec wants 4
+    clip = Tensor(np.zeros((1, 3, 1, 6, 6), dtype=np.float32), ACTIVATION_AXES)
     with pytest.raises(InvalidShape):
         forward_offline(clip, spec, w)
 
@@ -206,10 +207,10 @@ def test_shift_free_frames_are_independent():
     spec = tiny_spec([simple_block(), simple_block()])
     w = rand_store(spec)
     base = rng.uniform(-1, 1, size=(1, 4, 1, 6, 6)).astype(np.float32)
-    ref = forward_offline(activation(base), spec, w).data
+    ref = forward_offline(Tensor(base, ACTIVATION_AXES), spec, w).data
     poked = base.copy()
     poked[0, 2] += 0.5
-    out = forward_offline(activation(poked), spec, w).data
+    out = forward_offline(Tensor(poked, ACTIVATION_AXES), spec, w).data
     for t in (0, 1, 3):
         np.testing.assert_array_equal(out[0, t], ref[0, t])
     assert np.any(out[0, 2] != ref[0, 2])
@@ -223,10 +224,10 @@ def test_temporal_receptive_field_grows_with_shift_layers():
         spec = tiny_spec(blocks, t=6)
         w = rand_store(spec, seed=k)
         base = rng.uniform(-1, 1, size=(1, 6, 1, 6, 6)).astype(np.float32)
-        ref = forward_offline(activation(base), spec, w).data
+        ref = forward_offline(Tensor(base, ACTIVATION_AXES), spec, w).data
         poked = base.copy()
         poked[0, 0] += 0.5
-        out = forward_offline(activation(poked), spec, w).data
+        out = forward_offline(Tensor(poked, ACTIVATION_AXES), spec, w).data
         assert np.any(out[0, 1] != ref[0, 1]), "one step away must react"
         # beyond k steps of +-1 shift, frame 0 cannot reach
         for t in range(k + 1, 6):
@@ -238,9 +239,9 @@ def test_degenerate_shifts_match_shift_free_network():
     for trial in range(5):
         spec = random_network_spec(rng, force_shift=True)
         w = rand_store(spec, seed=trial)
-        clip = activation(rng.uniform(
+        clip = Tensor(rng.uniform(
             -1, 1, size=(1, spec.frames, spec.in_channels,
-                         spec.height, spec.width)).astype(np.float32))
+                         spec.height, spec.width)).astype(np.float32), ACTIVATION_AXES)
         zeroed = with_zero_shifts(spec)
         a = forward_offline(clip, spec, w).data
         b = forward_offline(clip, zeroed, w).data
@@ -251,7 +252,7 @@ def test_degenerate_shifts_match_shift_free_network():
         # the zero-shift run is the plain 2D network: frame-permutation
         # of the input permutes the logits identically
         perm = rng.permutation(spec.frames)
-        permuted = activation(clip.data[:, perm])
+        permuted = Tensor(clip.data[:, perm], ACTIVATION_AXES)
         np.testing.assert_array_equal(
             forward_offline(permuted, zeroed, w).data, b[:, perm])
 

@@ -24,7 +24,7 @@ from tsmkit.ops import (
     softmax_cross_entropy,
 )
 from tsmkit.shift import ShiftSpec, shift_offline
-from tsmkit.tensor import activation
+from tsmkit.tensor import ACTIVATION_AXES, Tensor
 
 from helpers import central_diff_grad, rel_grad_error
 from oracles import conv2d_direct
@@ -318,7 +318,7 @@ def test_mac_counter_matches_accounting():
 
 def test_shift_records_zero_macs():
     rng = np.random.default_rng(13)
-    x = activation(rng.uniform(-1, 1, size=(1, 4, 8, 3, 3)).astype(np.float32))
+    x = Tensor(rng.uniform(-1, 1, size=(1, 4, 8, 3, 3)).astype(np.float32), ACTIVATION_AXES)
     with count_macs() as c:
         shift_offline(x, ShiftSpec(1, 1))
         relu_forward(x.data)

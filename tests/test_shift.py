@@ -17,9 +17,9 @@ from tsmkit.shift import (
     spec_from_total_fraction,
 )
 from tsmkit.tensor import (
+    ACTIVATION_AXES,
     FRAME_AXES,
     Tensor,
-    activation,
     reverse_time,
 )
 
@@ -37,7 +37,7 @@ def clip_and_spec(draw, paddings=("zero", "circular")):
     nf = draw(st.integers(0, c))
     nb = draw(st.integers(0, c - nf))
     spec = ShiftSpec(nf, nb, padding=draw(st.sampled_from(paddings)))
-    return activation(data), spec
+    return Tensor(data, ACTIVATION_AXES), spec
 
 
 def ramp_clip():
@@ -46,7 +46,7 @@ def ramp_clip():
     for c in range(4):
         for t in range(3):
             data[0, t, c, 0, 0] = 10 * c + t
-    return activation(data)
+    return Tensor(data, ACTIVATION_AXES)
 
 
 def channel_series(x, c):
@@ -108,12 +108,13 @@ def test_shift_rejects_oversized_groups():
 def test_naive_circular_two_frames():
     data = np.zeros((1, 2, 1, 1, 1), dtype=np.float32)
     data[0, 0, 0], data[0, 1, 0] = 5.0, 9.0
-    out = shift_offline_naive(activation(data), ShiftSpec(1, 0, padding="circular"))
+    out = shift_offline_naive(Tensor(data, ACTIVATION_AXES),
+                              ShiftSpec(1, 0, padding="circular"))
     assert channel_series(out, 0) == [9.0, 5.0]
 
 
 def test_naive_zero_input():
-    x = activation(np.zeros((1, 4, 6, 2, 2), dtype=np.float32))
+    x = Tensor(np.zeros((1, 4, 6, 2, 2), dtype=np.float32), ACTIVATION_AXES)
     out = shift_offline_naive(x, ShiftSpec(2, 2))
     assert not out.data.any()
 
@@ -153,7 +154,7 @@ def test_shift_linearity_exact_coeffs(pair, a, b):
     rng = np.random.default_rng(4)
     y = random_activation(rng, *x.extents)
     a32, b32 = np.float32(a), np.float32(b)
-    combo = activation(a32 * x.data + b32 * y.data)
+    combo = Tensor(a32 * x.data + b32 * y.data, ACTIVATION_AXES)
     lhs = shift_offline(combo, spec).data
     rhs = a32 * shift_offline(x, spec).data + b32 * shift_offline(y, spec).data
     np.testing.assert_array_equal(lhs, rhs)
@@ -165,7 +166,7 @@ def test_shift_linearity_general_coeffs():
     y = random_activation(rng, n=2, t=5, c=8, h=3, w=3)
     spec = ShiftSpec(2, 3)
     a, b = np.float32(0.73), np.float32(-1.91)
-    lhs = shift_offline(activation(a * x.data + b * y.data), spec).data
+    lhs = shift_offline(Tensor(a * x.data + b * y.data, ACTIVATION_AXES), spec).data
     rhs = a * shift_offline(x, spec).data + b * shift_offline(y, spec).data
     assert np.max(np.abs(lhs - rhs)) <= 1e-6
 
@@ -177,7 +178,7 @@ def test_adjoint_of_identity_is_identity():
 
 def test_adjoint_single_forward_channel():
     # one fwd channel, T=3: gradient moves one step earlier; t=0's falls off
-    g = activation(np.arange(3, dtype=np.float32).reshape(1, 3, 1, 1, 1) + 1)
+    g = Tensor(np.arange(3, dtype=np.float32).reshape(1, 3, 1, 1, 1) + 1, ACTIVATION_AXES)
     out = shift_adjoint(g, ShiftSpec(1, 0))
     assert channel_series(out, 0) == [2.0, 3.0, 0.0]
 

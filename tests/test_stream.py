@@ -8,6 +8,7 @@ from tsmkit.net import (
     consensus_average,
     count_network,
     forward_offline,
+    forward_offline_array,
     init_weights,
 )
 from tsmkit.ops import ConvSpec, count_macs
@@ -20,7 +21,7 @@ from tsmkit.stream import (
     stream_step,
     uni_network_spec,
 )
-from tsmkit.tensor import FRAME_AXES, Tensor, activation
+from tsmkit.tensor import ACTIVATION_AXES, FRAME_AXES, Tensor
 
 from helpers import random_network_spec
 
@@ -100,9 +101,9 @@ def test_online_matches_offline_unidirectional(t):
     rng = np.random.default_rng(40 + t)
     spec = random_network_spec(rng, frames=t, uni_only=True, force_shift=True)
     w = init_weights(spec, seed=t)
-    clip = activation(rng.uniform(
+    clip = Tensor(rng.uniform(
         -1, 1, size=(2, t, spec.in_channels, spec.height, spec.width)
-    ).astype(np.float32))
+    ).astype(np.float32), ACTIVATION_AXES)
     offline = forward_offline(clip, spec, w).data
     online, consensus, _ = run_stream(clip, spec, w, stream_init(spec, batch=2))
     assert np.max(np.abs(online - offline)) <= 1e-5
@@ -114,7 +115,7 @@ def test_first_frame_sees_zero_history():
     rng = np.random.default_rng(41)
     spec = make_spec([uni_block()], t=1)
     w = init_weights(spec, seed=1)
-    clip = activation(rng.uniform(-1, 1, size=(1, 1, 1, 6, 6)).astype(np.float32))
+    clip = Tensor(rng.uniform(-1, 1, size=(1, 1, 1, 6, 6)).astype(np.float32), ACTIVATION_AXES)
     offline = forward_offline(clip, spec, w).data
     logits, _, _ = stream_step(
         Tensor(clip.data[:, 0], FRAME_AXES), spec, w, stream_init(spec))
@@ -128,7 +129,7 @@ def test_reset_then_replay_is_bit_identical():
     rng = np.random.default_rng(42)
     spec = make_spec([uni_block(), uni_block()])
     w = init_weights(spec, seed=2)
-    clip = activation(rng.uniform(-1, 1, size=(1, 4, 1, 6, 6)).astype(np.float32))
+    clip = Tensor(rng.uniform(-1, 1, size=(1, 4, 1, 6, 6)).astype(np.float32), ACTIVATION_AXES)
     state = stream_init(spec)
     first, first_cons, state = run_stream(clip, spec, w, state)
     stream_reset(state)
@@ -150,8 +151,9 @@ def test_interleaved_streams_contaminate_without_reset():
     rng = np.random.default_rng(43)
     spec = make_spec([uni_block()], t=2)
     w = init_weights(spec, seed=4)
-    clip_a = activation(rng.uniform(-1, 1, size=(1, 2, 1, 6, 6)).astype(np.float32))
-    clip_b = activation(rng.uniform(-1, 1, size=(1, 2, 1, 6, 6)).astype(np.float32))
+    clip_a, clip_b = (
+        Tensor(rng.uniform(-1, 1, size=(1, 2, 1, 6, 6)).astype(np.float32), ACTIVATION_AXES)
+        for _ in range(2))
     state = stream_init(spec)
     run_stream(clip_a, spec, w, state)
     dirty, _, _ = run_stream(clip_b, spec, w, state)  # no reset
@@ -199,6 +201,37 @@ def test_stream_step_macs_equal_shift_free_network():
     assert counter.total == count_network(spec).macs_per_frame
 
 
+# --- long streams ---
+
+
+@pytest.mark.parametrize("window", [None, 16])
+def test_long_stream_matches_offline_in_constant_memory(window):
+    # 10^4 frames: no drift in the logits, the running consensus or the
+    # state size however long the stream runs
+    rng = np.random.default_rng(49)
+    t = 10_000
+    spec = make_spec([uni_block(), plain_block(), uni_block(n_fwd=2)], t=t)
+    w = init_weights(spec, seed=12)
+    clip = rng.uniform(-1, 1, size=(1, t, 1, 6, 6)).astype(np.float32)
+    offline = forward_offline_array(clip, spec, w)
+    state = stream_init(spec, window=window)
+    # a full window holds one float64 logit row per frame beside running_sum
+    full = state_nbytes(state) + (window or 0) * state.running_sum.nbytes
+    logits, sizes = [], set()
+    for i in range(t):
+        out, consensus, state = stream_step(Tensor(clip[:, i], FRAME_AXES), spec, w, state)
+        logits.append(out)
+        if i + 1 >= (window or 0):
+            sizes.add(state_nbytes(state))
+    assert sizes == {full}
+    assert np.max(np.abs(np.stack(logits, axis=1) - offline)) <= 1e-5
+    if window is None:
+        want = consensus_average(offline)
+    else:
+        want = offline[:, -window:].astype(np.float64).mean(axis=1).astype(np.float32)
+    assert np.max(np.abs(consensus - want)) <= 1e-6
+
+
 # --- windowed consensus ---
 
 
@@ -206,7 +239,7 @@ def test_windowed_consensus_uses_recent_frames_only():
     rng = np.random.default_rng(46)
     spec = make_spec([uni_block()], t=5)
     w = init_weights(spec, seed=7)
-    clip = activation(rng.uniform(-1, 1, size=(1, 5, 1, 6, 6)).astype(np.float32))
+    clip = Tensor(rng.uniform(-1, 1, size=(1, 5, 1, 6, 6)).astype(np.float32), ACTIVATION_AXES)
     for window in (1, 2):
         state = stream_init(spec, window=window)
         logits, consensus, _ = run_stream(clip, spec, w, state)
@@ -243,7 +276,7 @@ def test_converted_bidirectional_circular_stream_matches_uni_offline():
                    shift=ShiftSpec(2, 1, padding="circular"))
     spec = make_spec([bi, plain_block(), bi], t=5)
     w = init_weights(spec, seed=10)
-    clip = activation(rng.uniform(-1, 1, size=(2, 5, 1, 6, 6)).astype(np.float32))
+    clip = Tensor(rng.uniform(-1, 1, size=(2, 5, 1, 6, 6)).astype(np.float32), ACTIVATION_AXES)
     with pytest.warns(UserWarning, match="circular"):
         uni = uni_network_spec(spec)
     state = stream_init(uni, batch=2)
@@ -257,6 +290,38 @@ def test_converted_bidirectional_circular_stream_matches_uni_offline():
 
 
 # --- error paths ---
+
+
+@pytest.mark.parametrize("window", [None, 2])
+def test_failed_step_leaves_state_unchanged(window):
+    # block 1 of the bad spec wants a 2-channel cache; block 0 has already
+    # shifted when block 1 raises, and its cache must not keep the frame
+    rng = np.random.default_rng(48)
+    spec = make_spec([uni_block(), uni_block()])
+    bad = make_spec([uni_block(), uni_block(n_fwd=2)])
+    w = init_weights(spec, seed=11)
+    frames = [Tensor(rng.uniform(-1, 1, size=(1, 1, 6, 6)).astype(np.float32), FRAME_AXES)
+              for _ in range(2)]
+    state = stream_init(spec, window=window)
+    stream_step(frames[0], spec, w, state)
+    slabs = [cache.slab.copy() for cache in state.caches]
+    running, recent = state.running_sum.copy(), [k.copy() for k in state.recent]
+    with pytest.raises(CacheMismatch):
+        stream_step(frames[1], bad, w, state)
+    for cache, slab in zip(state.caches, slabs):
+        np.testing.assert_array_equal(cache.slab, slab)
+    assert state.frames_seen == 1
+    np.testing.assert_array_equal(state.running_sum, running)
+    assert len(state.recent) == len(recent)
+    for kept, want in zip(state.recent, recent):
+        np.testing.assert_array_equal(kept, want)
+    # the stream carries on as if the failed step never happened
+    after, cons_after, _ = stream_step(frames[1], spec, w, state)
+    clean = stream_init(spec, window=window)
+    stream_step(frames[0], spec, w, clean)
+    want, cons_want, _ = stream_step(frames[1], spec, w, clean)
+    np.testing.assert_array_equal(after, want)
+    np.testing.assert_array_equal(cons_after, cons_want)
 
 
 def test_stream_step_shape_and_cache_errors():

@@ -7,7 +7,6 @@ from tsmkit.errors import FormatError, InvalidShape
 from tsmkit.tensor import (
     ACTIVATION_AXES,
     Tensor,
-    activation,
     load_tensor,
     reverse_time,
     save_tensor,
@@ -23,7 +22,7 @@ def small_activations(t_max=6):
     )
     return shape.flatmap(
         lambda s: arrays(np.float32, s, elements=st.floats(-8, 8, width=32))
-    ).map(activation)
+    ).map(lambda a: Tensor(a, ACTIVATION_AXES))
 
 
 def test_tensor_invariants():
@@ -47,10 +46,10 @@ def test_reverse_time_involution(x):
 
 
 def test_reverse_time_values():
-    x = activation(np.arange(3, dtype=np.float32).reshape(1, 3, 1, 1, 1))
+    x = Tensor(np.arange(3, dtype=np.float32).reshape(1, 3, 1, 1, 1), ACTIVATION_AXES)
     r = reverse_time(x)
     assert r.data.ravel().tolist() == [2.0, 1.0, 0.0]
-    single = activation(np.full((1, 1, 2, 1, 1), 7, dtype=np.float32))
+    single = Tensor(np.full((1, 1, 2, 1, 1), 7, dtype=np.float32), ACTIVATION_AXES)
     np.testing.assert_array_equal(reverse_time(single).data, single.data)
 
 
